@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, CoreselError, DataError
 from .knn_graph import build_graph, dump_graph
-from .orchestrator import STRATEGIES, run
+from .orchestrator import STRATEGIES, loss_rows, run
 from .scoring import selection_scores
 from .selector import select_coreset
 from .simulator import SimState
@@ -36,20 +36,9 @@ _RUN_KEYS = {"strategy", "total_steps", "warmup_steps"}
 _SIM_KEYS = {"n", "dim", "classes", "cluster_spread", "learning_rate", "drift_rate"}
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-
-
-def _atomic_write_bytes(path: str, payload: bytes) -> None:
+def _atomic_write(path: str, payload: str | bytes) -> None:
+    if isinstance(payload, str):
+        payload = payload.encode("utf-8")
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
     try:
@@ -66,7 +55,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write_text(out_path, text)
+        _atomic_write(out_path, text)
 
 
 def load_run_config(path: str):
@@ -130,7 +119,7 @@ def cmd_build_graph(args) -> int:
     graph = build_graph(emb, args.k)
     buf = io.StringIO()
     dump_graph(graph, buf)
-    _atomic_write_text(args.out, buf.getvalue())
+    _atomic_write(args.out, buf.getvalue())
     print(f"n={graph.n} k={graph.k} edges={graph.edge_count()}", file=sys.stderr)
     return 0
 
@@ -172,11 +161,11 @@ def cmd_simulate(args) -> int:
     rows, scores = sim.extract_features(range(sim.n))
     buf = io.BytesIO()
     write_embeddings(EmbeddingTable(rows), buf)
-    _atomic_write_bytes(args.out_embeddings, buf.getvalue())
+    _atomic_write(args.out_embeddings, buf.getvalue())
     ledger = ScoreLedger.from_scores(scores, step=sim.step)
     sbuf = io.StringIO()
     write_score_stream(ledger, sbuf)
-    _atomic_write_text(args.out_scores, sbuf.getvalue())
+    _atomic_write(args.out_scores, sbuf.getvalue())
     print(f"simulated n={sim.n} d={sim.classes} steps={sim.step} "
           f"train_acc={sim.accuracy():.3f}", file=sys.stderr)
     return 0
@@ -200,11 +189,11 @@ def cmd_run(args) -> int:
     sim = _build_sim(cfg, sim_block)
     report = run(strategy, cfg, sim, total_steps, warmup_steps)
     os.makedirs(args.out_dir, exist_ok=True)
-    _atomic_write_text(os.path.join(args.out_dir, "report.json"),
+    _atomic_write(os.path.join(args.out_dir, "report.json"),
                        json.dumps(report.to_dict(), indent=2) + "\n")
-    _atomic_write_text(os.path.join(args.out_dir, "events.jsonl"),
+    _atomic_write(os.path.join(args.out_dir, "events.jsonl"),
                        "".join(json.dumps(e) + "\n" for e in report.update_events()))
-    _atomic_write_text(os.path.join(args.out_dir, "selections.jsonl"),
+    _atomic_write(os.path.join(args.out_dir, "selections.jsonl"),
                        "".join(json.dumps(e) + "\n" for e in report.selection_events()))
     timings = " ".join(f"{k}={v:.2f}s" for k, v in report.stage_seconds.items())
     print(f"strategy={strategy} final_loss={report.final_loss:.6f} {timings}",
@@ -218,11 +207,7 @@ def cmd_report(args) -> int:
             doc = json.load(fh)
     except json.JSONDecodeError as exc:
         raise DataError(f"report file {args.report} is not valid JSON: {exc}") from exc
-    rows = [(s + 1, loss) for s, loss in enumerate(doc.get("warmup_losses", []))]
-    for rec in doc.get("intervals", []):
-        start = rec["start_step"]
-        rows.extend((start + i + 1, loss) for i, loss in enumerate(rec["losses"]))
-    text = "step,loss\n" + "".join(f"{step},{loss}\n" for step, loss in rows)
+    text = "step,loss\n" + "".join(f"{step},{loss}\n" for step, loss in loss_rows(doc))
     _emit(text, args.out)
     return 0
 

@@ -80,25 +80,22 @@ def discrepancy_check(ledger: ScoreLedger, sample_set, t_c_window, lambda_c: flo
     return total / len(ids)
 
 
-def uniqueness(g: MutualKnnGraph, ledger: ScoreLedger, sample_id: int) -> float:
-    """Deviation of a node's score from its weighted neighborhood mean; 0 if isolated."""
-    nbrs = g.adjacency[sample_id]
-    if not nbrs:
-        return 0.0
-    w_sum = 0.0
-    acc = 0.0
-    for j, w in nbrs.items():
-        w_sum += w
-        acc += w * ledger.current[j]
-    return abs(float(ledger.current[sample_id]) - acc / w_sum)
+def uniqueness(g: MutualKnnGraph, ledger: ScoreLedger) -> np.ndarray:
+    """Per node: deviation of its score from its weighted neighborhood mean; 0 if isolated."""
+    cur = ledger.current
+    w_sum = g.weights.sum(axis=1)
+    isolated = w_sum == 0.0
+    mean = (g.weights * cur[g.knn_ids]).sum(axis=1) / np.where(isolated, 1.0, w_sum)
+    return np.where(isolated, 0.0, np.abs(cur - mean))
 
 
-def update_priority(g: MutualKnnGraph, ledger: ScoreLedger, sample_id: int,
-                    current_step: int) -> float:
-    staleness = current_step - int(ledger.t_history[sample_id])
-    if staleness < 0:
-        raise DomainError(f"sample {sample_id} has t_history beyond step {current_step}")
-    return uniqueness(g, ledger, sample_id) * staleness
+def update_priority(g: MutualKnnGraph, ledger: ScoreLedger, current_step: int) -> np.ndarray:
+    """Per node: uniqueness times steps since its last accurate score."""
+    staleness = current_step - ledger.t_history
+    ahead = np.flatnonzero(staleness < 0)
+    if ahead.size:
+        raise DomainError(f"sample {ahead[0]} has t_history beyond step {current_step}")
+    return uniqueness(g, ledger) * staleness
 
 
 def select_recal_set(g: MutualKnnGraph, ledger: ScoreLedger, current_step: int,
@@ -110,44 +107,56 @@ def select_recal_set(g: MutualKnnGraph, ledger: ScoreLedger, current_step: int,
     """
     if k_recal < 1:
         raise DomainError(f"k_recal must be >= 1, got {k_recal}")
-    priorities = [update_priority(g, ledger, i, current_step) for i in range(g.n)]
-    order = sorted(range(g.n), key=lambda i: (-priorities[i], i))
+    priorities = update_priority(g, ledger, current_step)
+    order = np.argsort(-priorities, kind="stable")  # ties: smaller id first
     chosen: list[int] = []
-    blocked: set[int] = set()
-    for i in order:
-        if priorities[i] <= 0.0:
-            break
-        if i in blocked:
+    blocked = np.zeros(g.n, dtype=bool)
+    for i in order[priorities[order] > 0.0].tolist():
+        if blocked[i]:
             continue
         chosen.append(i)
-        blocked.update(g.adjacency[i])
+        blocked[g.knn_ids[i][g.mutual[i]]] = True
         if len(chosen) == k_recal:
             break
     return tuple(sorted(chosen))
 
 
-def affinity(g: MutualKnnGraph, ledger: ScoreLedger, i: int, j: int) -> float:
-    """Edge weight discounted by score disagreement: w_ij * exp(-0.1|I_i - I_j|)."""
-    w = g.weight(i, j)
-    gap = abs(float(ledger.current[i]) - float(ledger.current[j]))
-    return w * math.exp(-AFFINITY_SCORE_SCALE * gap)
+def affinity(g: MutualKnnGraph, ledger: ScoreLedger, i, j):
+    """Edge weight discounted by score disagreement: w_ij * exp(-0.1|I_i - I_j|).
+
+    ``i`` and ``j`` may be equal-shape id arrays; DomainError on a non-edge.
+    """
+    gap = np.abs(ledger.current[i] - ledger.current[j])
+    return g.weight(i, j) * np.exp(-AFFINITY_SCORE_SCALE * gap)
 
 
 def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
                            beta_aff: float) -> dict[int, tuple[int, ...]]:
     """For each non-anchor: its anchor neighbors with affinity above the threshold."""
-    anchor_set = set(int(a) for a in anchors)
+    anchor_ids = np.unique(np.fromiter((int(a) for a in anchors), dtype=np.int64))
+    if anchor_ids.size and not (0 <= anchor_ids[0] and anchor_ids[-1] < g.n):
+        raise DomainError(f"anchor ids must lie in [0, {g.n})")
+    slots = g.mutual[anchor_ids]
+    nodes, owners = g.knn_ids[anchor_ids][slots], np.repeat(anchor_ids, slots.sum(axis=1))
+    keep = ~np.isin(nodes, anchor_ids) & (affinity(g, ledger, nodes, owners) > beta_aff)
     out: dict[int, tuple[int, ...]] = {}
-    for i in range(g.n):
-        if i in anchor_set:
-            continue
-        qualified = tuple(
-            j for j in sorted(g.adjacency[i])
-            if j in anchor_set and affinity(g, ledger, i, j) > beta_aff
-        )
-        if qualified:
-            out[i] = qualified
+    for i, j in sorted(zip(nodes[keep].tolist(), owners[keep].tolist())):
+        out[i] = out.get(i, ()) + (j,)
     return out
+
+
+def _qualified_pairs(g: MutualKnnGraph, ledger: ScoreLedger, anchors, beta_aff: float):
+    """The (node, anchor) pairs of ``qualifying_anchor_sets`` as arrays, in its order.
+
+    Returns the qualifying nodes; per pair, the node's index into them, the
+    anchor and the edge weight; and each node's total weight.
+    """
+    quals = qualifying_anchor_sets(g, ledger, anchors, beta_aff)
+    nodes = np.fromiter(quals, dtype=np.int64, count=len(quals))
+    pos = np.repeat(np.arange(len(nodes)), [len(q) for q in quals.values()])
+    owners = np.array([j for q in quals.values() for j in q], dtype=np.int64)
+    w = g.weight(nodes[pos], owners)
+    return nodes, pos, owners, w, np.bincount(pos, weights=w, minlength=len(nodes))
 
 
 def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new: dict,
@@ -166,10 +175,10 @@ def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new: dict,
         if not math.isfinite(v) or v < 0.0:
             raise DomainError(f"anchor score for {a} must be finite and >= 0, got {v!r}")
     out = {int(a): float(v) for a, v in recal_new.items()}
-    for i, qualified in qualifying_anchor_sets(g, ledger, recal_new, beta_aff).items():
-        w_sum = sum(g.adjacency[i][j] for j in qualified)
-        blended = sum(g.adjacency[i][j] / w_sum * out[j] for j in qualified)
-        out[i] = 0.5 * float(ledger.current[i]) + 0.5 * blended
+    nodes, pos, owners, w, w_sum = _qualified_pairs(g, ledger, recal_new, beta_aff)
+    new = np.array([out[j] for j in owners.tolist()], dtype=np.float64)
+    blended = np.bincount(pos, weights=w / w_sum[pos] * new, minlength=len(nodes))
+    out.update(zip(nodes.tolist(), (0.5 * ledger.current[nodes] + 0.5 * blended).tolist()))
     return out
 
 
@@ -198,12 +207,10 @@ def propagate_embeddings(g: MutualKnnGraph, ledger: ScoreLedger, emb: EmbeddingT
     from the current graph and ledger (pre-update state).
     """
     out = {int(a): np.asarray(r, dtype=np.float64).copy() for a, r in recal_new_rows.items()}
-    for i, qualified in qualifying_anchor_sets(g, ledger, recal_new_rows, beta_aff).items():
-        w_sum = sum(g.adjacency[i][j] for j in qualified)
-        avg = np.zeros(emb.d, dtype=np.float64)
-        for j in qualified:
-            avg += g.adjacency[i][j] * out[j]
-        out[i] = 0.5 * emb.rows[i] + 0.5 * (avg / w_sum)
+    nodes, pos, owners, w, w_sum = _qualified_pairs(g, ledger, recal_new_rows, beta_aff)
+    acc = np.zeros((len(nodes), emb.d), dtype=np.float64)
+    np.add.at(acc, pos, w[:, None] * np.array([out[j] for j in owners.tolist()]).reshape(-1, emb.d))
+    out.update(zip(nodes.tolist(), 0.5 * emb.rows[nodes] + 0.5 * (acc / w_sum[:, None])))
     return out
 
 

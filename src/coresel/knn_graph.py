@@ -1,20 +1,20 @@
 """Mutual k-NN graph construction, LSH candidate retrieval, and local repair.
 
 An edge (i, j) exists only when each node is among the other's k nearest
-neighbors (Euclidean); its weight is exp(-||h_i - h_j||^2 / 100). The graph
-additionally keeps each node's directed top-k list so that repairs after
-embedding updates can re-enforce mutuality without a full rebuild.
+neighbors (Euclidean); its weight is exp(-||h_i - h_j||^2 / 100). The graph is
+stored as fixed-width (n, k) arrays: each node's directed top-k list plus a
+mask of its mutual slots, so repairs after embedding updates can re-enforce
+mutuality without a full rebuild.
 """
 
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, FormatError
 from .kernels import pairwise_sq_dists, rows_sq_dists
 from .store import EmbeddingTable
 
@@ -25,6 +25,10 @@ DEFAULT_LSH_TABLES = 8
 DEFAULT_LSH_PLANES = 12
 
 
+def _weight(d2):
+    return np.exp(-d2 / WEIGHT_SCALE)
+
+
 def edge_weight(h_i, h_j) -> float:
     """exp(-squared distance / 100); 1.0 exactly for coincident embeddings."""
     h_i = np.asarray(h_i, dtype=np.float64)
@@ -32,58 +36,88 @@ def edge_weight(h_i, h_j) -> float:
     if h_i.shape != h_j.shape or h_i.ndim != 1:
         raise DomainError(f"edge_weight needs two equal-length vectors, got {h_i.shape} and {h_j.shape}")
     diff = h_i - h_j
-    return math.exp(-float(diff @ diff) / WEIGHT_SCALE)
+    return float(_weight(diff @ diff))
 
 
-def _sq_dist(rows: np.ndarray, i: int, j: int) -> float:
-    diff = rows[i] - rows[j]
-    return float(diff @ diff)
-
-
-@dataclass
+@dataclass(eq=False)
 class MutualKnnGraph:
+    """Mutual k-NN graph as fixed-width (n, k) neighbor slots.
+
+    Row i of ``knn_ids`` is node i's directed top-k list ordered by (squared
+    distance, id), with the distances in ``knn_d2``. ``mutual[i, c]`` holds
+    exactly when node ``knn_ids[i, c]`` lists i back; those slots are the
+    edges, and ``weights`` holds their weights (0 in every other slot). A graph
+    made from an edge list, such as a loaded dump, has no directed lists: its
+    rows hold only the edges, padded with id -1, and ``knn_d2`` is None.
+    """
+
     n: int
     k: int
-    adjacency: list[dict[int, float]]
-    # Directed top-k lists (ordered by (distance, id)); needed for repair.
-    knn_ids: np.ndarray | None = None
+    knn_ids: np.ndarray
+    mutual: np.ndarray
+    weights: np.ndarray
     knn_d2: np.ndarray | None = None
 
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        return tuple(sorted(self.adjacency[i]))
+    @classmethod
+    def from_lists(cls, knn_ids: np.ndarray, knn_d2: np.ndarray) -> "MutualKnnGraph":
+        """Graph whose edges are the mutual slots of the given directed lists."""
+        n, k = knn_ids.shape
+        mutual = (knn_ids[knn_ids] == np.arange(n)[:, None, None]).any(axis=2)
+        weights = np.where(mutual, _weight(knn_d2), 0.0)
+        return cls(n=n, k=k, knn_ids=knn_ids, mutual=mutual, weights=weights, knn_d2=knn_d2)
 
-    def weight(self, i: int, j: int) -> float:
-        try:
-            return self.adjacency[i][j]
-        except KeyError:
-            raise DomainError(f"no edge between {i} and {j}") from None
+    @classmethod
+    def from_edges(cls, n: int, k: int, edges: dict) -> "MutualKnnGraph":
+        """Graph with the undirected edges ``{(i, j): weight}`` and no directed lists."""
+        knn_ids = np.full((n, k), -1, dtype=np.int64)
+        weights = np.zeros((n, k), dtype=np.float64)
+        degree = np.zeros(n, dtype=np.int64)
+        for (i, j), w in sorted(edges.items()):
+            if not (0 <= i < n and 0 <= j < n) or i == j:
+                raise DomainError(f"edge ({i}, {j}) does not join two distinct nodes of [0, {n})")
+            for a, b in ((i, j), (j, i)):
+                if b in knn_ids[a, :degree[a]]:
+                    raise DomainError(f"edge ({i}, {j}) is given twice")
+                if degree[a] == k:
+                    raise DomainError(f"node {a} has more than k={k} neighbors")
+                knn_ids[a, degree[a]] = b
+                weights[a, degree[a]] = w
+                degree[a] += 1
+        return cls(n=n, k=k, knn_ids=knn_ids, mutual=knn_ids >= 0, weights=weights)
+
+    def neighbors(self, i: int) -> tuple[int, ...]:
+        return tuple(sorted(self.knn_ids[i][self.mutual[i]].tolist()))
+
+    def weight(self, i, j):
+        """w_ij; ``i`` and ``j`` may be equal-shape id arrays. DomainError on a non-edge."""
+        i, j = np.asarray(i), np.asarray(j)
+        hit = self.mutual[i] & (self.knn_ids[i] == j[..., None])
+        if not hit.any(axis=-1).all():
+            raise DomainError(f"no edge between {i} and {j}")
+        w = self.weights[i, hit.argmax(axis=-1)]
+        return float(w) if w.ndim == 0 else w
 
     def has_edge(self, i: int, j: int) -> bool:
-        return j in self.adjacency[i]
+        return bool((self.mutual[i] & (self.knn_ids[i] == j)).any())
 
     def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
+        return int(self.mutual[i].sum())
 
     def edge_count(self) -> int:
-        return sum(len(a) for a in self.adjacency) // 2
+        return int(self.mutual.sum()) // 2
 
     def edge_set(self) -> set[tuple[int, int]]:
-        return {(i, j) for i in range(self.n) for j in self.adjacency[i] if i < j}
-
-    def copy(self) -> "MutualKnnGraph":
-        return MutualKnnGraph(
-            n=self.n,
-            k=self.k,
-            adjacency=[dict(a) for a in self.adjacency],
-            knn_ids=None if self.knn_ids is None else self.knn_ids.copy(),
-            knn_d2=None if self.knn_d2 is None else self.knn_d2.copy(),
-        )
+        rows, slots = np.nonzero(self.mutual)
+        cols = self.knn_ids[rows, slots]
+        keep = rows < cols
+        return set(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
-def _topk_row(d2_row: np.ndarray, self_id: int, k: int) -> tuple[np.ndarray, np.ndarray]:
-    order = np.argsort(d2_row, kind="stable")  # stable sort: ties keep smaller id first
-    order = order[order != self_id][:k]
-    return order.astype(np.int64), d2_row[order]
+def _topk(d2: np.ndarray, self_ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k nearest (id, squared distance) pairs, skipping the row's own node."""
+    d2[np.arange(len(self_ids)), self_ids] = np.inf
+    ids = np.argsort(d2, axis=1, kind="stable")[:, :k].copy()  # stable: ties keep smaller id first
+    return ids, np.take_along_axis(d2, ids, axis=1)
 
 
 def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
@@ -93,24 +127,8 @@ def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
         raise DomainError(f"k must be >= 1, got {k}")
     if k >= n:
         raise DomainError(f"k must be < n (got k={k}, n={n})")
-    d2 = pairwise_sq_dists(emb.rows)
-    np.fill_diagonal(d2, np.inf)
-    knn_ids = np.empty((n, k), dtype=np.int64)
-    knn_d2 = np.empty((n, k), dtype=np.float64)
-    order = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    knn_ids[:] = order
-    knn_d2[:] = np.take_along_axis(d2, order, axis=1)
-
-    neighbor_sets = [set(row.tolist()) for row in knn_ids]
-    adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    for i in range(n):
-        for j in knn_ids[i]:
-            j = int(j)
-            if j > i and i in neighbor_sets[j]:
-                w = math.exp(-_sq_dist(emb.rows, i, j) / WEIGHT_SCALE)
-                adjacency[i][j] = w
-                adjacency[j][i] = w
-    return MutualKnnGraph(n=n, k=k, adjacency=adjacency, knn_ids=knn_ids, knn_d2=knn_d2)
+    knn_ids, knn_d2 = _topk(pairwise_sq_dists(emb.rows), np.arange(n), k)
+    return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 
 @dataclass
@@ -179,112 +197,66 @@ def build_lsh_index(emb: EmbeddingTable, num_tables: int = DEFAULT_LSH_TABLES,
     return index
 
 
-def _lex_less(d2_a: float, id_a: int, d2_b: float, id_b: int) -> bool:
-    return d2_a < d2_b or (d2_a == d2_b and id_a < id_b)
-
-
 def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
                  changed, brute_force_candidates: bool = False) -> MutualKnnGraph:
     """Recompute neighborhoods around moved nodes and re-enforce mutuality.
 
     Candidate lists for each changed node come from its LSH buckets plus its
-    former neighbors and their neighbors; with ``brute_force_candidates`` the
-    candidate set is every node, which makes the repair exactly equal to a
-    full rebuild. Unchanged nodes whose membership cannot have moved keep
-    their lists; edges between untouched nodes are left as they were.
+    former directed list, its mutual neighbors and theirs; with
+    ``brute_force_candidates`` the candidate set is every node, which makes the
+    repair exactly equal to a full rebuild. Unchanged nodes whose membership
+    cannot have moved keep their lists; edges between them are left as they were.
     """
-    changed_ids = sorted(set(int(c) for c in changed))
-    if not changed_ids:
+    changed_ids = np.unique(np.fromiter((int(c) for c in changed), dtype=np.int64))
+    if not changed_ids.size:
         return g
-    n = g.n
-    for c in changed_ids:
-        if not 0 <= c < n:
-            raise DomainError(f"changed id {c} out of range [0, {n})")
-    if g.knn_ids is None or g.knn_d2 is None:
+    n, k = g.n, g.k
+    bad = changed_ids[(changed_ids < 0) | (changed_ids >= n)]
+    if bad.size:
+        raise DomainError(f"changed id {bad[0]} out of range [0, {n})")
+    if g.knn_d2 is None:
         raise DomainError("graph is missing directed k-NN lists; rebuild it from embeddings")
-    if idx is None and not brute_force_candidates:
+    if idx is None:
         brute_force_candidates = True
 
     rows = emb.rows
-    k = g.k
-    changed_set = set(changed_ids)
     knn_ids = g.knn_ids.copy()
     knn_d2 = g.knn_d2.copy()
-
-    # Reverse index: who currently lists a changed node in their directed top-k.
-    listed_by: dict[int, set[int]] = {u: set() for u in changed_ids}
-    for v in range(n):
-        for j in knn_ids[v]:
-            j = int(j)
-            if j in changed_set:
-                listed_by[j].add(v)
-
-    touched: set[int] = set()
-    dists_from_changed = rows_sq_dists(rows, np.asarray(changed_ids, dtype=np.int64))
-    old_kth_d2 = g.knn_d2[:, k - 1]
-    old_kth_id = g.knn_ids[:, k - 1]
-
-    for pos, u in enumerate(changed_ids):
-        d2_u = dists_from_changed[pos]
+    # A node v is touched when a changed node sat in its list or could now enter it.
+    touched = np.isin(g.knn_ids, changed_ids).any(axis=1)
+    kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
+    for u, d2_u in zip(changed_ids.tolist(), rows_sq_dists(rows, changed_ids)):
         if brute_force_candidates:
-            cand = np.arange(n, dtype=np.int64)
-            cand = cand[cand != u]
+            cand = np.delete(np.arange(n), u)
         else:
-            cset = idx.query(rows[u])
-            cset.update(int(x) for x in g.knn_ids[u])
-            for nb in g.adjacency[u]:
-                cset.add(nb)
-                cset.update(g.adjacency[nb])
-            cset.discard(u)
-            cand = np.fromiter(sorted(cset), dtype=np.int64)
+            nbrs = g.knn_ids[u][g.mutual[u]]
+            cand = np.unique(np.concatenate([
+                np.fromiter(idx.query(rows[u]), dtype=np.int64),
+                g.knn_ids[u], nbrs, g.knn_ids[nbrs][g.mutual[nbrs]],
+            ]))
+            cand = cand[cand != u]
         cand_d2 = d2_u[cand]
         order = np.argsort(cand_d2, kind="stable")[:k]
         knn_ids[u] = cand[order]
         knn_d2[u] = cand_d2[order]
+        kth = kth_d2[cand]
+        touched[cand[(cand_d2 < kth) | ((cand_d2 == kth) & (u < kth_id[cand]))]] = True
+    touched[changed_ids] = False
 
-        # A node v is touched when u sat in its list or could now enter it.
-        touched.update(listed_by[u])
-        for v in cand:
-            v = int(v)
-            if v in changed_set:
-                continue
-            if _lex_less(float(d2_u[v]), u, float(old_kth_d2[v]), int(old_kth_id[v])):
-                touched.add(v)
-    touched -= changed_set
-
-    if touched:
-        touched_list = sorted(touched)
-        d2_touched = rows_sq_dists(rows, np.asarray(touched_list, dtype=np.int64))
-        for pos, v in enumerate(touched_list):
-            row = d2_touched[pos].copy()
-            row[v] = np.inf
-            ids, d2s = _topk_row(row, v, k)
-            knn_ids[v] = ids
-            knn_d2[v] = d2s
-
-    refreshed = changed_set | touched
-    adjacency = [dict(a) for a in g.adjacency]
-    for r in refreshed:
-        for nb in list(adjacency[r]):
-            del adjacency[nb][r]
-        adjacency[r] = {}
-    neighbor_sets = [set(row.tolist()) for row in knn_ids]
-    for r in sorted(refreshed):
-        for j in knn_ids[r]:
-            j = int(j)
-            if r in neighbor_sets[j]:
-                w = math.exp(-_sq_dist(rows, r, j) / WEIGHT_SCALE)
-                adjacency[r][j] = w
-                adjacency[j][r] = w
-    return MutualKnnGraph(n=n, k=k, adjacency=adjacency, knn_ids=knn_ids, knn_d2=knn_d2)
+    touched_ids = np.flatnonzero(touched)
+    if touched_ids.size:
+        knn_ids[touched_ids], knn_d2[touched_ids] = _topk(
+            rows_sq_dists(rows, touched_ids), touched_ids, k)
+    return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 
 def dump_graph(g: MutualKnnGraph, target) -> None:
-    """One JSON line per node: {"id": i, "nbrs": [...], "w": [...]}."""
+    """One JSON line per node: {"id": i, "k": k, "nbrs": [...], "w": [...]}, ids ascending."""
     def emit(fh):
         for i in range(g.n):
-            nbrs = sorted(g.adjacency[i])
-            line = {"id": i, "nbrs": nbrs, "w": [g.adjacency[i][j] for j in nbrs]}
+            nbrs, w = g.knn_ids[i][g.mutual[i]], g.weights[i][g.mutual[i]]
+            order = np.argsort(nbrs)
+            line = {"id": i, "k": g.k, "nbrs": nbrs[order].tolist(), "w": w[order].tolist()}
             fh.write(json.dumps(line) + "\n")
 
     if hasattr(target, "write"):
@@ -295,18 +267,42 @@ def dump_graph(g: MutualKnnGraph, target) -> None:
 
 
 def load_graph(source) -> MutualKnnGraph:
-    """Rebuild a graph from its JSONL dump (directed lists are not stored)."""
+    """Rebuild a graph from its JSONL dump; the directed lists are not stored.
+
+    Raises FormatError unless the records run 0..n-1 in order, share one
+    ``k``, and list every edge from both ends with the same weight.
+    """
     if hasattr(source, "read"):
         lines = source.readlines()
     else:
         with open(source, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
-    records = [json.loads(line) for line in lines if line.strip()]
+    try:
+        records = [json.loads(line) for line in lines if line.strip()]
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"graph dump is not valid JSON lines: {exc}") from None
     n = len(records)
-    adjacency: list[dict[int, float]] = [{} for _ in range(n)]
-    for rec in records:
-        i = int(rec["id"])
-        for j, w in zip(rec["nbrs"], rec["w"]):
-            adjacency[i][int(j)] = float(w)
-    k = max((len(a) for a in adjacency), default=1) or 1
-    return MutualKnnGraph(n=n, k=k, adjacency=adjacency)
+    ks = set()
+    directed: dict[tuple[int, int], float] = {}
+    for i, rec in enumerate(records):
+        if not isinstance(rec, dict) or rec.get("id") != i:
+            raise FormatError(f"graph dump record {i} does not have id {i}; ids must run 0..n-1")
+        k, nbrs, w = rec.get("k"), rec.get("nbrs"), rec.get("w")
+        if (type(k) is not int or k < 1 or not isinstance(nbrs, list) or not isinstance(w, list)
+                or len(nbrs) != len(w)):
+            raise FormatError(f"graph dump record {i} needs an integer k >= 1 and "
+                              f"equal-length nbrs and w lists")
+        ks.add(k)
+        for j, w_ij in zip(nbrs, w):
+            if type(j) is not int or (i, j) in directed or type(w_ij) not in (int, float):
+                raise FormatError(f"graph dump record {i} has a repeated or malformed neighbor {j!r}")
+            directed[(i, j)] = float(w_ij)
+    if len(ks) != 1:
+        raise FormatError(f"graph dump lines disagree on k: {sorted(ks)}" if ks else "graph dump is empty")
+    for (i, j), w_ij in directed.items():
+        if directed.get((j, i)) != w_ij:
+            raise FormatError(f"graph dump edge ({i}, {j}) is not listed from both ends with one weight")
+    try:
+        return MutualKnnGraph.from_edges(n, ks.pop(), {e: w for e, w in directed.items() if e[0] <= e[1]})
+    except DomainError as exc:
+        raise FormatError(f"graph dump: {exc}") from None

@@ -89,10 +89,16 @@ class RunReport:
         ]
 
     def loss_rows(self) -> list[tuple[int, float]]:
-        rows = [(s + 1, loss) for s, loss in enumerate(self.warmup_losses)]
-        for rec in self.intervals:
-            rows.extend((rec.start_step + i + 1, loss) for i, loss in enumerate(rec.losses))
-        return rows
+        return loss_rows(self.to_dict())
+
+
+def loss_rows(report: dict) -> list[tuple[int, float]]:
+    """(step, loss) for every train step of a report document, warm-up first."""
+    rows = [(s + 1, loss) for s, loss in enumerate(report.get("warmup_losses", []))]
+    for rec in report.get("intervals", []):
+        start = rec["start_step"]
+        rows.extend((start + i + 1, loss) for i, loss in enumerate(rec["losses"]))
+    return rows
 
 
 def _resolve_steps(cfg: SelectionConfig, provider, total_steps: int,

@@ -138,10 +138,3 @@ class SimState:
         pred = (self.data @ self.weights.T).argmax(axis=1)
         return float(np.mean(pred == self.labels))
 
-
-def train_step(state: SimState, batch) -> float:
-    return state.train_step(batch)
-
-
-def extract_features(state: SimState, ids) -> tuple[np.ndarray, np.ndarray]:
-    return state.extract_features(ids)

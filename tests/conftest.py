@@ -33,15 +33,20 @@ def mutual_knn_oracle(rows: np.ndarray, k: int):
 
 
 def audit_graph(g, emb: EmbeddingTable) -> None:
-    """Assert symmetry, degree cap, no self-loops, and weight consistency."""
+    """Assert symmetry, degree cap, no self-loops, weight consistency, and that
+    the mutual mask marks exactly the slots whose neighbor lists the node back."""
     for i in range(g.n):
-        assert i not in g.adjacency[i], f"self-loop at {i}"
-        assert len(g.adjacency[i]) <= g.k, f"degree of {i} exceeds k"
-        for j, w in g.adjacency[i].items():
-            assert g.adjacency[j].get(i) == w, f"asymmetric edge ({i}, {j})"
+        nbrs = g.neighbors(i)
+        assert i not in nbrs, f"self-loop at {i}"
+        assert len(nbrs) <= g.k, f"degree of {i} exceeds k"
+        for j in nbrs:
+            w = g.weight(i, j)
+            assert i in g.neighbors(j) and g.weight(j, i) == w, f"asymmetric edge ({i}, {j})"
             d2 = float(np.sum((emb.rows[i] - emb.rows[j]) ** 2))
             assert abs(w - math.exp(-d2 / 100.0)) <= 1e-9
             assert 0.0 < w <= 1.0
+        for c, j in enumerate(g.knn_ids[i].tolist()):
+            assert g.mutual[i, c] == (i in g.knn_ids[j]), f"mutual mask wrong at ({i}, {c})"
 
 
 def representation_reference(core, pool, emb: EmbeddingTable) -> float:

@@ -117,13 +117,10 @@ def test_criterion_03_propagation_closed_form():
         weights = rng.uniform(0.01, 1.0, size=deg)
         old = float(rng.uniform(0.0, 3.0))
         news = rng.uniform(0.0, 3.0, size=deg)
-        adjacency = [dict()] + [dict() for _ in range(deg)]
-        for j in range(deg):
-            adjacency[0][j + 1] = float(weights[j])
-            adjacency[j + 1][0] = float(weights[j])
         from coresel.knn_graph import MutualKnnGraph
 
-        g = MutualKnnGraph(n=deg + 1, k=deg, adjacency=adjacency)
+        g = MutualKnnGraph.from_edges(deg + 1, deg,
+                                      {(0, j + 1): float(weights[j]) for j in range(deg)})
         ledger = ScoreLedger.from_scores(np.concatenate([[old], news]), step=0)
         out = propagate_scores(g, ledger, {j + 1: float(news[j]) for j in range(deg)},
                                beta_aff=0.0)

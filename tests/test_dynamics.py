@@ -14,6 +14,7 @@ from coresel.dynamics import (
     embedding_shift,
     propagate_embeddings,
     propagate_scores,
+    qualifying_anchor_sets,
     select_recal_set,
     uniqueness,
     update_priority,
@@ -25,13 +26,9 @@ from coresel.store import EmbeddingTable, ScoreLedger, SelectionConfig
 
 
 def graph_from_edges(n, edges):
-    """Hand-built graph: edges as {(i, j): weight}."""
-    adjacency = [dict() for _ in range(n)]
-    for (i, j), w in edges.items():
-        adjacency[i][j] = w
-        adjacency[j][i] = w
-    k = max((len(a) for a in adjacency), default=1) or 1
-    return MutualKnnGraph(n=n, k=k, adjacency=adjacency)
+    """Hand-built graph: edges as {(i, j): weight}, k the largest degree."""
+    degree = np.bincount(np.asarray(list(edges), dtype=np.int64).ravel(), minlength=n)
+    return MutualKnnGraph.from_edges(n, max(int(degree.max()), 1), edges)
 
 
 def ledger_with(scores, step=0):
@@ -108,31 +105,31 @@ def test_discrepancy_validates_inputs():
 def test_uniqueness_zero_when_neighbors_match():
     g = graph_from_edges(3, {(0, 1): 0.5, (0, 2): 0.25})
     ledger = ledger_with([1.0, 1.0, 1.0])
-    assert uniqueness(g, ledger, 0) == 0.0
+    assert uniqueness(g, ledger)[0] == 0.0
 
 
 def test_uniqueness_isolated_node_is_zero():
     g = graph_from_edges(3, {(0, 1): 0.5})
     ledger = ledger_with([1.0, 0.0, 7.0])
-    assert uniqueness(g, ledger, 2) == 0.0
+    assert uniqueness(g, ledger)[2] == 0.0
 
 
 def test_uniqueness_weighted_mean_arithmetic():
     g = graph_from_edges(3, {(0, 1): 0.5, (0, 2): 0.25})
     ledger = ledger_with([1.0, 0.0, 0.0])
-    assert uniqueness(g, ledger, 0) == pytest.approx(1.0, abs=1e-12)
+    assert uniqueness(g, ledger)[0] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_priority_fresh_node_is_zero():
     g = graph_from_edges(2, {(0, 1): 0.5})
     ledger = ledger_with([1.0, 0.0], step=10)
-    assert update_priority(g, ledger, 0, 10) == 0.0
+    assert update_priority(g, ledger, 10)[0] == 0.0
 
 
 def test_priority_product():
     g = graph_from_edges(2, {(0, 1): 1.0})
     ledger = ledger_with([1.0, 0.5], step=0)
-    assert update_priority(g, ledger, 0, 10) == pytest.approx(5.0, abs=1e-12)
+    assert update_priority(g, ledger, 10)[0] == pytest.approx(5.0, abs=1e-12)
 
 
 def test_priority_argmax_matches_full_scan(rng):
@@ -141,10 +138,30 @@ def test_priority_argmax_matches_full_scan(rng):
     ledger = ScoreLedger.from_scores(rng.uniform(0.1, 2.0, size=30), step=0)
     for i in range(30):
         ledger.t_history[i] = int(rng.integers(0, 8))
-    priorities = [update_priority(g, ledger, i, 10) for i in range(30)]
+    priorities = update_priority(g, ledger, 10)
     best = max(range(30), key=lambda i: (priorities[i], -i))
     recal = select_recal_set(g, ledger, 10, k_recal=1)
     assert recal == (best,)
+
+
+def test_vectorized_dynamics_match_per_node_reference(rng):
+    emb = EmbeddingTable(rng.normal(size=(60, 4)))
+    g = build_graph(emb, k=5)
+    ledger = ScoreLedger.from_scores(rng.uniform(0.1, 2.0, size=60), step=0)
+    cur = ledger.current
+    got = uniqueness(g, ledger)
+    anchors = sorted(rng.choice(60, size=10, replace=False).tolist())
+    expected_sets = {}
+    for i in range(60):
+        nbrs = g.neighbors(i)
+        w = [g.weight(i, j) for j in nbrs]
+        mean = sum(wj * cur[j] for wj, j in zip(w, nbrs)) / sum(w) if nbrs else cur[i]
+        assert got[i] == pytest.approx(abs(cur[i] - mean), abs=1e-12)
+        qualified = tuple(j for j, wj in zip(nbrs, w) if i not in anchors and j in anchors
+                          and wj * math.exp(-0.1 * abs(cur[i] - cur[j])) > 0.9)
+        if qualified:
+            expected_sets[i] = qualified
+    assert qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.9) == expected_sets
 
 
 def test_recal_complete_graph_selects_one():
@@ -184,14 +201,14 @@ def test_recal_set_is_independent(rng):
             if a != b:
                 assert not g.has_edge(a, b)
     # greedy replay: walking the priority order reproduces the same set
-    priorities = [update_priority(g, ledger, i, 10) for i in range(50)]
+    priorities = update_priority(g, ledger, 10)
     order = sorted(range(50), key=lambda i: (-priorities[i], i))
     replay, blocked = [], set()
     for i in order:
         if priorities[i] <= 0 or i in blocked:
             continue
         replay.append(i)
-        blocked.update(g.adjacency[i])
+        blocked.update(g.neighbors(i))
         if len(replay) == 8:
             break
     assert tuple(sorted(replay)) == recal

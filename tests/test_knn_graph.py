@@ -1,14 +1,18 @@
 """Mutual k-NN construction against an O(n^2) oracle, LSH recall, and repair."""
 
 import io
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import audit_graph, mutual_knn_oracle
-from coresel.errors import DomainError
+from coresel.errors import DomainError, FormatError
 from coresel.knn_graph import (
+    MutualKnnGraph,
     build_graph,
     build_lsh_index,
     dump_graph,
@@ -249,6 +253,33 @@ def test_repair_sequential_repairs_stay_consistent(rng):
     audit_graph(g, emb)
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 40), d=st.integers(1, 4),
+       k_frac=st.floats(0.0, 1.0), duplicates=st.integers(0, 6), repairs=st.integers(1, 3))
+def test_repair_sequences_equal_rebuild_exactly(seed, n, d, k_frac, duplicates, repairs):
+    # duplicated rows and small integer coordinates force (d^2, id) ties
+    gen = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 2))
+    rows = gen.integers(-3, 4, size=(n, d)).astype(np.float64)
+    for _ in range(duplicates):
+        rows[gen.integers(n)] = rows[gen.integers(n)]
+    emb = EmbeddingTable(rows)
+    g = build_graph(emb, k=k)
+    for _ in range(repairs):
+        changed = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+        for c in changed:
+            if gen.random() < 0.5:
+                emb.rows[c] = emb.rows[gen.integers(n)]
+            else:
+                emb.rows[c] += gen.normal(size=d) * gen.choice([0.01, 1.0])
+        g = repair_graph(g, None, emb, changed.tolist(), brute_force_candidates=True)
+    rebuilt = build_graph(emb, k=k)
+    assert np.array_equal(g.knn_ids, rebuilt.knn_ids)
+    assert np.array_equal(g.knn_d2, rebuilt.knn_d2)
+    assert np.array_equal(g.mutual, rebuilt.mutual)
+    assert np.array_equal(g.weights, rebuilt.weights)
+
+
 def test_repair_untouched_edges_unmodified(rng):
     emb = EmbeddingTable(rng.normal(size=(80, 5)))
     g = build_graph(emb, k=4)
@@ -305,8 +336,61 @@ def test_graph_dump_format(rng):
     dump_graph(g, buf)
     lines = buf.getvalue().strip().split("\n")
     assert len(lines) == 6
-    import json
-
     first = json.loads(lines[0])
-    assert set(first) == {"id", "nbrs", "w"}
+    assert set(first) == {"id", "k", "nbrs", "w"}
     assert first["id"] == 0
+    assert first["k"] == 2
+
+
+def test_graph_dump_load_keeps_k_below_max_degree():
+    g = MutualKnnGraph.from_edges(5, 3, {(0, 1): 0.5, (2, 3): 0.25})
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    loaded = load_graph(io.StringIO(buf.getvalue()))
+    assert loaded.k == 3
+    assert loaded.edge_set() == g.edge_set()
+    assert loaded.weight(3, 2) == 0.25
+
+
+def _dump_lines(records):
+    return io.StringIO("".join(json.dumps(r) + "\n" for r in records))
+
+
+_GOOD = [{"id": 0, "k": 2, "nbrs": [1], "w": [0.5]},
+         {"id": 1, "k": 2, "nbrs": [0, 2], "w": [0.5, 0.25]},
+         {"id": 2, "k": 2, "nbrs": [1], "w": [0.25]}]
+
+
+def test_load_graph_accepts_good_dump():
+    g = load_graph(_dump_lines(_GOOD))
+    assert (g.n, g.k) == (3, 2)
+    assert g.edge_set() == {(0, 1), (1, 2)}
+    assert g.weight(2, 1) == 0.25
+
+
+@pytest.mark.parametrize("defect, edit", [
+    ("ids out of order", lambda r: r[2].update(id=5)),
+    ("nbrs and w lengths differ", lambda r: r[1].update(w=[0.5])),
+    ("neighbor out of range", lambda r: r[0].update(nbrs=[3])),
+    ("negative neighbor", lambda r: r[0].update(nbrs=[-1])),
+    ("self neighbor", lambda r: r[0].update(nbrs=[0])),
+    ("edge in one direction only", lambda r: r[2].update(nbrs=[], w=[])),
+    ("unequal edge weights", lambda r: r[0].update(w=[0.4])),
+    ("degree above k", lambda r: [rec.update(k=1) for rec in r]),
+    ("missing k", lambda r: r[1].pop("k")),
+    ("k differs between lines", lambda r: r[2].update(k=3)),
+])
+def test_load_graph_rejects_malformed_dump(defect, edit):
+    records = json.loads(json.dumps(_GOOD))
+    edit(records)
+    with pytest.raises(FormatError):
+        load_graph(_dump_lines(records))
+
+
+def test_repair_loaded_graph_needs_directed_lists(rng):
+    emb = EmbeddingTable(rng.normal(size=(20, 3)))
+    buf = io.StringIO()
+    dump_graph(build_graph(emb, k=3), buf)
+    loaded = load_graph(io.StringIO(buf.getvalue()))
+    with pytest.raises(DomainError, match="directed"):
+        repair_graph(loaded, None, emb, [0], brute_force_candidates=True)
