@@ -21,7 +21,6 @@ from .errors import (
     OrderingError,
     ResourceError,
 )
-from .kernels import NUMBA_ENABLED
 from .knn_graph import (
     LshIndex,
     MutualKnnGraph,

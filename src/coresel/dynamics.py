@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DataError, DomainError
 from .knn_graph import MutualKnnGraph, LshIndex, repair_graph
 from .store import EmbeddingTable, ScoreLedger
 
@@ -223,8 +223,9 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     scores when the ledger lacks them, and triggers on discrepancy > delta.
     A triggered check recomputes the recal set exactly, propagates scores,
     and, only when the mean embedding shift also crosses delta_h, replaces
-    and propagates embeddings and locally repairs the graph. Provider errors
-    leave all state untouched.
+    and propagates embeddings and locally repairs the graph. Provider errors,
+    and provider output that is mis-shaped or non-finite (DataError), leave
+    all state untouched.
     """
     core = sorted(int(i) for i in last_core)
     if not core:
@@ -239,7 +240,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         return -1 if last is None else last
     stale = [i for i in probe if _last(i) < current_step]
     if stale:
-        _, probe_scores = provider.extract_features(stale)
+        _, probe_scores = _extract_checked(provider, stale, emb.d)
         for i, s in zip(stale, probe_scores):
             ledger.record(i, current_step, float(s))
             recorded.append(i)
@@ -256,7 +257,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         return plan, g
 
     try:
-        new_rows, new_scores = provider.extract_features(list(recal))
+        new_rows, new_scores = _extract_checked(provider, list(recal), emb.d)
     except Exception:
         # Atomicity: drop the probe records taken this step and re-raise.
         for i in recorded:
@@ -293,10 +294,27 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         changed = sorted(emb_map)
         if lsh is not None:
             lsh.reinsert(changed, emb)
-        new_graph = repair_graph(g, lsh, emb, changed,
-                                 brute_force_candidates=lsh is None)
+        new_graph = repair_graph(g, lsh, emb, changed)
         plan.graph_repaired = True
     return plan, new_graph
+
+
+def _extract_checked(provider, ids: list[int], d: int) -> tuple[np.ndarray, np.ndarray]:
+    """``provider.extract_features(ids)``, checked before any of it is used.
+
+    Raises DataError unless the rows are a finite (len(ids), d) array and the
+    scores a finite, non-negative (len(ids),) array.
+    """
+    rows, scores = provider.extract_features(ids)
+    rows = np.asarray(rows, dtype=np.float64)
+    scores = np.asarray(scores, dtype=np.float64)
+    m = len(ids)
+    if rows.shape != (m, d) or not np.isfinite(rows).all():
+        raise DataError(f"provider rows must be finite with shape ({m}, {d}), got shape {rows.shape}")
+    if scores.shape != (m,) or not (np.isfinite(scores) & (scores >= 0.0)).all():
+        raise DataError(f"provider scores must be finite and >= 0 with shape ({m},), "
+                        f"got shape {scores.shape}")
+    return rows, scores
 
 
 def _common_window(ledger: ScoreLedger, probe, t_c: int, current_step: int) -> list[int]:

@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .kernels import pairwise_sq_dists, rows_sq_dists
 from .store import EmbeddingTable
 
 WEIGHT_SCALE = 100.0
@@ -23,6 +22,10 @@ WEIGHT_SCALE = 100.0
 # Default random-hyperplane LSH geometry (sign hashing).
 DEFAULT_LSH_TABLES = 8
 DEFAULT_LSH_PLANES = 12
+
+# Block size (in elements) of the distance kernels' difference tensors; keeps
+# peak memory around a few tens of MB regardless of n.
+_BLOCK_ELEMS = 1 << 22
 
 
 def _weight(d2):
@@ -113,6 +116,35 @@ class MutualKnnGraph:
         return set(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
+def _sq_dists_from(x, rows) -> np.ndarray:
+    """Squared distances from the rows ``x[rows]`` to every row of ``x``, in row blocks.
+
+    Each entry is the sum of squared coordinate differences, so d2(i, j) and
+    d2(j, i) are bitwise equal and d2(i, i) is exactly 0.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    rows = np.ascontiguousarray(rows, dtype=np.int64)
+    n, d = x.shape
+    m = rows.shape[0]
+    out = np.empty((m, n), dtype=np.float64)
+    rows_per_block = max(1, _BLOCK_ELEMS // max(n * d, 1))
+    for start in range(0, m, rows_per_block):
+        stop = min(m, start + rows_per_block)
+        diff = x[rows[start:stop], None, :] - x[None, :, :]
+        out[start:stop] = np.einsum("ijk,ijk->ij", diff, diff)
+    return out
+
+
+def pairwise_sq_dists(x) -> np.ndarray:
+    """All-pairs squared Euclidean distances, (n, n), symmetric with an exact zero diagonal."""
+    return _sq_dists_from(x, np.arange(np.shape(x)[0]))
+
+
+def rows_sq_dists(x, rows) -> np.ndarray:
+    """Squared distances from the given row indices to every point, (len(rows), n)."""
+    return _sq_dists_from(x, rows)
+
+
 def _topk(d2: np.ndarray, self_ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Each row's k nearest (id, squared distance) pairs, skipping the row's own node."""
     d2[np.arange(len(self_ids)), self_ids] = np.inf
@@ -198,13 +230,13 @@ def build_lsh_index(emb: EmbeddingTable, num_tables: int = DEFAULT_LSH_TABLES,
 
 
 def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
-                 changed, brute_force_candidates: bool = False) -> MutualKnnGraph:
+                 changed) -> MutualKnnGraph:
     """Recompute neighborhoods around moved nodes and re-enforce mutuality.
 
     Candidate lists for each changed node come from its LSH buckets plus its
-    former directed list, its mutual neighbors and theirs; with
-    ``brute_force_candidates`` the candidate set is every node, which makes the
-    repair exactly equal to a full rebuild. Unchanged nodes whose membership
+    former directed list, its mutual neighbors and theirs; without an index
+    (``idx`` None) the candidate set is every node, which makes the repair
+    exactly equal to a full rebuild. Unchanged nodes whose membership
     cannot have moved keep their lists; edges between them are left as they were.
     """
     changed_ids = np.unique(np.fromiter((int(c) for c in changed), dtype=np.int64))
@@ -216,8 +248,6 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
         raise DomainError(f"changed id {bad[0]} out of range [0, {n})")
     if g.knn_d2 is None:
         raise DomainError("graph is missing directed k-NN lists; rebuild it from embeddings")
-    if idx is None:
-        brute_force_candidates = True
 
     rows = emb.rows
     knn_ids = g.knn_ids.copy()
@@ -226,7 +256,7 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     touched = np.isin(g.knn_ids, changed_ids).any(axis=1)
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
     for u, d2_u in zip(changed_ids.tolist(), rows_sq_dists(rows, changed_ids)):
-        if brute_force_candidates:
+        if idx is None:
             cand = np.delete(np.arange(n), u)
         else:
             nbrs = g.knn_ids[u][g.mutual[u]]

@@ -59,8 +59,8 @@ class RunReport:
     stage_seconds: dict[str, float] = field(default_factory=dict)
     plans: list[UpdatePlan] = field(default_factory=list, repr=False)
 
-    def to_dict(self, include_timings: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        return {
             "strategy": self.strategy,
             "seed": self.seed,
             "config": self.config,
@@ -70,9 +70,6 @@ class RunReport:
             "intervals": [rec.to_dict() for rec in self.intervals],
             "final_loss": self.final_loss,
         }
-        if include_timings:
-            out["stage_seconds"] = self.stage_seconds
-        return out
 
     def update_events(self) -> list[dict]:
         return [plan.event() for plan in self.plans]

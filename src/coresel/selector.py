@@ -16,7 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .kernels import greedy_select
 from .store import EmbeddingTable
 
 BRUTE_FORCE_LIMIT = 10 ** 6
@@ -73,6 +72,36 @@ def coreset_objective(core, pool, emb: EmbeddingTable, warped, lambda_blend: flo
     core_ids = _as_sorted_ids(core, "core")
     importance = float(warped[core_ids].sum()) if core_ids.size else 0.0
     return lambda_blend * representation_score(core_ids, pool, emb) + (1.0 - lambda_blend) * importance
+
+
+def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy argmax of blended marginal gains over a cosine-similarity matrix.
+
+    Returns (members, gains) as local indices into the candidate pool, in
+    insertion order. Ties break toward the smaller index. The coverage term of
+    the first pick is the plain column sum (the empty coreset covers nothing).
+    """
+    n = cos_sim.shape[0]
+    members = np.empty(budget, dtype=np.int64)
+    gains = np.empty(budget, dtype=np.float64)
+    selected = np.zeros(n, dtype=bool)
+    cov = np.zeros(n, dtype=np.float64)
+    for r in range(budget):
+        if r == 0:
+            rep_gain = cos_sim.sum(axis=0)
+        else:
+            rep_gain = np.maximum(cos_sim - cov[:, None], 0.0).sum(axis=0)
+        total = lam * rep_gain + (1.0 - lam) * warped
+        total[selected] = -np.inf
+        best = int(np.argmax(total))  # first max -> smallest index on ties
+        members[r] = best
+        gains[r] = total[best]
+        selected[best] = True
+        if r == 0:
+            cov[:] = cos_sim[:, best]
+        else:
+            np.maximum(cov, cos_sim[:, best], out=cov)
+    return members, gains
 
 
 def select_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,

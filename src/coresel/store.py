@@ -80,13 +80,7 @@ def _read_embeddings(fh) -> EmbeddingTable:
     payload = fh.read(4 * n * d)
     if len(payload) != 4 * n * d:
         raise FormatError(f"embedding payload truncated: expected {4 * n * d} bytes, got {len(payload)}")
-    flat = np.frombuffer(payload, dtype="<f4")
-    values = flat.reshape(n, d)
-    bad = np.argwhere(~np.isfinite(values))
-    if bad.size:
-        r, c = (int(v) for v in bad[0])
-        raise DataError(f"non-finite embedding value at row {r}, col {c}")
-    return EmbeddingTable(values.astype(np.float64))
+    return EmbeddingTable(np.frombuffer(payload, dtype="<f4").reshape(n, d))
 
 
 def write_embeddings(table: EmbeddingTable, target) -> None:

@@ -213,7 +213,7 @@ def test_criterion_06_graph_correctness():
     jaccard = len(repaired.edge_set() & rebuilt.edge_set()) / len(union)
     assert jaccard >= 0.95
 
-    exact = repair_graph(g2, None, emb2, changed, brute_force_candidates=True)
+    exact = repair_graph(g2, None, emb2, changed)
     assert exact.edge_set() == rebuilt.edge_set()
     for i, j in rebuilt.edge_set():
         assert exact.weight(i, j) == pytest.approx(rebuilt.weight(i, j), abs=1e-12)

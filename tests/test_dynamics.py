@@ -19,7 +19,7 @@ from coresel.dynamics import (
     uniqueness,
     update_priority,
 )
-from coresel.errors import DomainError
+from coresel.errors import DataError, DomainError
 from coresel.knn_graph import MutualKnnGraph, build_graph
 from coresel.simulator import SimState
 from coresel.store import EmbeddingTable, ScoreLedger, SelectionConfig
@@ -482,7 +482,30 @@ def test_check_recal_set_independent_and_bounded(rng):
         assert plan.triggered == (plan.delta_I > cfg.delta)
 
 
-def test_check_provider_failure_leaves_state(rng):
+class _PatchedProvider:
+    """Simulator whose ``extract_features`` output passes through ``patch(call, rows, scores)``."""
+
+    def __init__(self, sim, patch):
+        self.sim = sim
+        self.patch = patch
+        self.calls = 0
+
+    @property
+    def step(self):
+        return self.sim.step
+
+    @property
+    def n(self):
+        return self.sim.n
+
+    def extract_features(self, ids):
+        self.calls += 1
+        rows, scores = self.sim.extract_features(ids)
+        return self.patch(self.calls, rows, scores)
+
+
+def _assert_failed_check_leaves_state(patch, error, match):
+    """Run a triggering check through a patched provider; it must raise and change nothing."""
     cfg = _cfg(delta=0.0, delta_h=0.0)
     sim = SimState.create(n=80, dim=6, classes=3, learning_rate=0.3, seed=7, drift=0.05)
     gen, emb, ledger, graph = _prepare(sim, cfg)
@@ -490,34 +513,44 @@ def test_check_provider_failure_leaves_state(rng):
     _train_interval(sim, ledger, members, cfg.t_c - 1)
     sim.train_step(members)  # one unrecorded step, so the probe must recompute
 
-    class FailingProvider:
-        def __init__(self, sim):
-            self.sim = sim
-            self.calls = 0
-
-        @property
-        def step(self):
-            return self.sim.step
-
-        @property
-        def n(self):
-            return self.sim.n
-
-        def extract_features(self, ids):
-            self.calls += 1
-            if self.calls > 1:
-                raise RuntimeError("provider offline")
-            return self.sim.extract_features(ids)
-
     current_before = ledger.current.copy()
     histories_before = [ledger.history(i) for i in range(ledger.n)]
     rows_before = emb.rows.copy()
-    failing = FailingProvider(sim)
-    with pytest.raises(RuntimeError, match="offline"):
-        check_and_update(graph, emb, ledger, members, failing, cfg, gen)
+    provider = _PatchedProvider(sim, patch)
+    with pytest.raises(error, match=match):
+        check_and_update(graph, emb, ledger, members, provider, cfg, gen)
     assert np.array_equal(ledger.current, current_before)
     assert [ledger.history(i) for i in range(ledger.n)] == histories_before
     assert np.array_equal(emb.rows, rows_before)
+
+
+def test_check_provider_failure_leaves_state():
+    def offline_after_probe(call, rows, scores):
+        if call > 1:
+            raise RuntimeError("provider offline")
+        return rows, scores
+
+    _assert_failed_check_leaves_state(offline_after_probe, RuntimeError, "offline")
+
+
+def test_check_nan_probe_score_leaves_state():
+    def nan_fifth_probe_score(call, rows, scores):
+        if call == 1:
+            scores = scores.copy()
+            scores[4] = np.nan
+        return rows, scores
+
+    _assert_failed_check_leaves_state(nan_fifth_probe_score, DataError, "scores")
+
+
+def test_check_nan_recal_row_leaves_state():
+    def nan_first_recal_row(call, rows, scores):
+        if call == 2:
+            rows = rows.copy()
+            rows[0] = np.nan
+        return rows, scores
+
+    _assert_failed_check_leaves_state(nan_first_recal_row, DataError, "rows")
 
 
 def test_check_requires_nonempty_core(rng):

@@ -18,7 +18,9 @@ from coresel.knn_graph import (
     dump_graph,
     edge_weight,
     load_graph,
+    pairwise_sq_dists,
     repair_graph,
+    rows_sq_dists,
 )
 from coresel.store import EmbeddingTable
 
@@ -54,6 +56,47 @@ def test_edge_weight_inverted_from_target():
 def test_edge_weight_dimension_mismatch():
     with pytest.raises(DomainError):
         edge_weight(np.zeros(3), np.zeros(4))
+
+
+# ---------------------------------------------------------------------------
+# pairwise_sq_dists / rows_sq_dists
+# ---------------------------------------------------------------------------
+
+def naive_pairwise(x):
+    n = x.shape[0]
+    out = np.zeros((n, n))
+    for i in range(n):
+        for j in range(n):
+            out[i, j] = np.sum((x[i] - x[j]) ** 2)
+    return out
+
+
+def test_pairwise_matches_naive(rng):
+    x = rng.normal(size=(40, 7))
+    assert np.allclose(pairwise_sq_dists(x), naive_pairwise(x), atol=1e-9)
+
+
+def test_pairwise_diagonal_exactly_zero(rng):
+    x = rng.normal(size=(30, 5)) * 100.0
+    assert np.all(np.diag(pairwise_sq_dists(x)) == 0.0)
+
+
+def test_rows_sq_dists_matches_naive(rng):
+    x = rng.normal(size=(25, 6))
+    rows = np.array([3, 11, 24])
+    full = naive_pairwise(x)
+    assert np.allclose(rows_sq_dists(x, rows), full[rows], atol=1e-9)
+
+
+def test_pairwise_symmetric_and_equal_to_rows_bitwise(rng):
+    # Build and repair compare distances computed by the two kernels, so a
+    # repair equals a rebuild only if they agree bit for bit. n * d spans
+    # several row blocks, so rows straddle block boundaries differently.
+    x = rng.normal(size=(300, 200)) * 10.0
+    full = pairwise_sq_dists(x)
+    assert np.array_equal(full, full.T)
+    rows = np.array([299, 0, 68, 69, 5, 5, 150])
+    assert np.array_equal(rows_sq_dists(x, rows), full[rows])
 
 
 # ---------------------------------------------------------------------------
@@ -181,7 +224,7 @@ def test_repair_node_moved_onto_copy(rng):
     emb = EmbeddingTable(rng.normal(size=(20, 4)))
     g = build_graph(emb, k=3)
     emb.rows[11] = emb.rows[3].copy()
-    repaired = repair_graph(g, None, emb, {11}, brute_force_candidates=True)
+    repaired = repair_graph(g, None, emb, {11})
     assert repaired.has_edge(3, 11)
     assert repaired.weight(3, 11) == 1.0
     audit_graph(repaired, emb)
@@ -192,7 +235,7 @@ def test_repair_brute_equals_full_rebuild(rng):
     g = build_graph(emb, k=5)
     changed = sorted(rng.choice(120, size=9, replace=False).tolist())
     emb.rows[changed] += rng.normal(size=(9, 6)) * 2.0
-    repaired = repair_graph(g, None, emb, changed, brute_force_candidates=True)
+    repaired = repair_graph(g, None, emb, changed)
     rebuilt = build_graph(emb, k=5)
     assert repaired.edge_set() == rebuilt.edge_set()
     for i, j in rebuilt.edge_set():
@@ -230,7 +273,7 @@ def test_repair_brute_equals_rebuild_randomized(rng):
         emb.rows[changed] += scale * rng.normal(size=(n_changed, d))
         if n_changed >= 2 and trial % 3 == 0:
             emb.rows[changed[0]] = emb.rows[changed[1]].copy()  # forced coincidence
-        repaired = repair_graph(g, None, emb, changed, brute_force_candidates=True)
+        repaired = repair_graph(g, None, emb, changed)
         rebuilt = build_graph(emb, k=k)
         assert repaired.edge_set() == rebuilt.edge_set(), (n, d, k, trial)
         assert np.array_equal(repaired.knn_ids, rebuilt.knn_ids)
@@ -244,10 +287,10 @@ def test_repair_sequential_repairs_stay_consistent(rng):
     g = build_graph(emb, k=4)
     first = sorted(rng.choice(60, size=6, replace=False).tolist())
     emb.rows[first] += rng.normal(size=(6, 5))
-    g = repair_graph(g, None, emb, first, brute_force_candidates=True)
+    g = repair_graph(g, None, emb, first)
     second = sorted(rng.choice(60, size=6, replace=False).tolist())
     emb.rows[second] += rng.normal(size=(6, 5))
-    g = repair_graph(g, None, emb, second, brute_force_candidates=True)
+    g = repair_graph(g, None, emb, second)
     rebuilt = build_graph(emb, k=4)
     assert g.edge_set() == rebuilt.edge_set()
     audit_graph(g, emb)
@@ -272,7 +315,7 @@ def test_repair_sequences_equal_rebuild_exactly(seed, n, d, k_frac, duplicates, 
                 emb.rows[c] = emb.rows[gen.integers(n)]
             else:
                 emb.rows[c] += gen.normal(size=d) * gen.choice([0.01, 1.0])
-        g = repair_graph(g, None, emb, changed.tolist(), brute_force_candidates=True)
+        g = repair_graph(g, None, emb, changed.tolist())
     rebuilt = build_graph(emb, k=k)
     assert np.array_equal(g.knn_ids, rebuilt.knn_ids)
     assert np.array_equal(g.knn_d2, rebuilt.knn_d2)
@@ -285,7 +328,7 @@ def test_repair_untouched_edges_unmodified(rng):
     g = build_graph(emb, k=4)
     changed = [0]
     emb.rows[0] += 10.0
-    repaired = repair_graph(g, None, emb, changed, brute_force_candidates=True)
+    repaired = repair_graph(g, None, emb, changed)
     moved_hood = {0} | set(g.neighbors(0)) | set(repaired.neighbors(0))
     for i, j in g.edge_set():
         if i not in moved_hood and j not in moved_hood:
@@ -393,4 +436,4 @@ def test_repair_loaded_graph_needs_directed_lists(rng):
     dump_graph(build_graph(emb, k=3), buf)
     loaded = load_graph(io.StringIO(buf.getvalue()))
     with pytest.raises(DomainError, match="directed"):
-        repair_graph(loaded, None, emb, [0], brute_force_candidates=True)
+        repair_graph(loaded, None, emb, [0])

@@ -10,6 +10,7 @@ from coresel.errors import DomainError, ResourceError
 from coresel.selector import (
     brute_force_coreset,
     coreset_objective,
+    greedy_select,
     representation_score,
     select_coreset,
 )
@@ -141,6 +142,27 @@ def test_select_subset_of_candidates_only(rng):
     sel = select_coreset(candidates, 4, emb, warped, 0.5)
     assert set(sel.members) <= set(candidates)
     assert len(set(sel.members)) == 4
+
+
+def test_greedy_first_pick_maximizes_column_sum(rng):
+    n = 15
+    x = rng.normal(size=(n, 4))
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    warped = np.zeros(n)
+    members, gains = greedy_select(cos, warped, 1.0, 1)
+    sums = cos.sum(axis=0)
+    assert members[0] == int(np.argmax(sums))
+    assert gains[0] == pytest.approx(sums.max())
+
+
+def test_greedy_tie_breaks_to_smaller_index():
+    # Two coincident directions with equal warped scores: index 0 must win.
+    cos = np.ones((3, 3))
+    warped = np.array([0.5, 0.5, 0.5])
+    members, _ = greedy_select(cos, warped, 0.5, 2)
+    assert members[0] == 0
+    assert members[1] == 1
 
 
 # ---------------------------------------------------------------------------
