@@ -56,7 +56,6 @@ from .store import (
     ingest_embeddings,
     load_score_stream,
     min_max_normalize,
-    record_score,
     write_embeddings,
     write_score_stream,
 )

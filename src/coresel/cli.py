@@ -137,7 +137,7 @@ def cmd_select(args) -> int:
     )
     warped = selection_scores(ledger, cfg)
     selection = select_coreset(range(emb.n), args.budget, emb, warped, args.lambda_blend)
-    step = max((s for i in range(ledger.n) for s in ledger.steps_for(i)), default=0)
+    step = max(int(ledger.steps[:, -1].max()), 0)
     _emit(json.dumps(selection.to_event(step)) + "\n", args.out)
     print(f"selected {len(selection.members)} of {emb.n} "
           f"objective={selection.objective_value:.6f}", file=sys.stderr)

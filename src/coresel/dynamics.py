@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError
-from .knn_graph import MutualKnnGraph, LshIndex, repair_graph
+from .knn_graph import MutualKnnGraph, LshIndex, repair_graph, require_directed_lists
 from .store import EmbeddingTable, ScoreLedger
 
 AFFINITY_SCORE_SCALE = 0.1  # exp(-0.1 * |score gap|) factor of the affinity
@@ -232,18 +232,13 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         raise DomainError("last_core must be nonempty")
     current_step = int(provider.step)
     n_probe = min(cfg.n_s_check, len(core))
-    probe = sorted(int(i) for i in rng.choice(core, size=n_probe, replace=False))
+    probe = np.sort(rng.choice(core, size=n_probe, replace=False))
 
-    recorded: list[int] = []
-    def _last(i):
-        last = ledger.last_step(i)
-        return -1 if last is None else last
-    stale = [i for i in probe if _last(i) < current_step]
-    if stale:
-        _, probe_scores = _extract_checked(provider, stale, emb.d)
-        for i, s in zip(stale, probe_scores):
-            ledger.record(i, current_step, float(s))
-            recorded.append(i)
+    stale = probe[ledger.steps[probe, -1] < current_step]
+    saved = ledger.steps[stale], ledger.scores[stale]  # fancy indexing copies
+    if stale.size:
+        _, probe_scores = _extract_checked(provider, stale.tolist(), emb.d)
+        ledger.record(stale, current_step, probe_scores)
 
     window = _common_window(ledger, probe, cfg.t_c, current_step)
     delta_i = discrepancy_check(ledger, probe, window, cfg.lambda_c, current_step)
@@ -258,32 +253,30 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
 
     try:
         new_rows, new_scores = _extract_checked(provider, list(recal), emb.d)
+        recal_score_map = {i: float(s) for i, s in zip(recal, new_scores)}
+        recal_row_map = {i: new_rows[pos] for pos, i in enumerate(recal)}
+
+        plan.anchor_sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
+        score_map = propagate_scores(g, ledger, recal_score_map, cfg.beta_aff)
+        plan.recal_scores = recal_score_map
+        plan.propagated_scores = {i: v for i, v in score_map.items() if i not in recal_score_map}
+        plan.old_scores = {i: float(ledger.current[i]) for i in score_map}
+
+        old_rows = {i: emb.rows[i].copy() for i in recal}
+        plan.delta_H = embedding_shift(old_rows, recal_row_map)
+
+        emb_map: dict[int, np.ndarray] = {}
+        if plan.delta_H > cfg.delta_h:
+            require_directed_lists(g)
+            emb_map = propagate_embeddings(g, ledger, emb, recal_row_map, cfg.beta_aff)
+            plan.propagated_embeddings = {i: r for i, r in emb_map.items() if i not in recal}
     except Exception:
-        # Atomicity: drop the probe records taken this step and re-raise.
-        for i in recorded:
-            ledger.pop_last(i)
+        # Atomicity: restore the probe rows recorded this step and re-raise.
+        ledger.steps[stale], ledger.scores[stale] = saved
         raise
 
-    recal_score_map = {i: float(s) for i, s in zip(recal, new_scores)}
-    recal_row_map = {i: new_rows[pos] for pos, i in enumerate(recal)}
-
-    plan.anchor_sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
-    score_map = propagate_scores(g, ledger, recal_score_map, cfg.beta_aff)
-    plan.recal_scores = recal_score_map
-    plan.propagated_scores = {i: v for i, v in score_map.items() if i not in recal_score_map}
-    plan.old_scores = {i: float(ledger.current[i]) for i in score_map}
-
-    old_rows = {i: emb.rows[i].copy() for i in recal}
-    plan.delta_H = embedding_shift(old_rows, recal_row_map)
-
-    emb_map: dict[int, np.ndarray] = {}
-    if plan.delta_H > cfg.delta_h:
-        emb_map = propagate_embeddings(g, ledger, emb, recal_row_map, cfg.beta_aff)
-        plan.propagated_embeddings = {i: r for i, r in emb_map.items() if i not in recal_score_map}
-
     # Apply: scores first (anchors advance t_history, propagated nodes do not).
-    for i, v in score_map.items():
-        ledger.record(i, current_step, v, replace=True)
+    ledger.record(list(score_map), current_step, list(score_map.values()), replace=True)
     for i in recal:
         ledger.mark_accurate(i, current_step)
 
@@ -319,11 +312,7 @@ def _extract_checked(provider, ids: list[int], d: int) -> tuple[np.ndarray, np.n
 
 def _common_window(ledger: ScoreLedger, probe, t_c: int, current_step: int) -> list[int]:
     """Steps within the last t_c interval recorded for every probe sample."""
-    lo = current_step - t_c
-    common: set[int] | None = None
-    for i in probe:
-        steps = {s for s in ledger.steps_for(i) if lo <= s < current_step}
-        common = steps if common is None else common & steps
-        if not common:
-            return []
-    return sorted(common)
+    rows = ledger.steps[probe]
+    first = rows[0][(rows[0] >= max(current_step - t_c, 0)) & (rows[0] < current_step)]
+    in_all = (rows[:, :, None] == first).any(axis=1).all(axis=0)
+    return first[in_all].tolist()

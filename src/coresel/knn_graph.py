@@ -229,6 +229,12 @@ def build_lsh_index(emb: EmbeddingTable, num_tables: int = DEFAULT_LSH_TABLES,
     return index
 
 
+def require_directed_lists(g: MutualKnnGraph) -> None:
+    """DomainError unless ``g`` has the directed lists that ``repair_graph`` needs."""
+    if g.knn_d2 is None:
+        raise DomainError("graph is missing directed k-NN lists; rebuild it from embeddings")
+
+
 def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
                  changed) -> MutualKnnGraph:
     """Recompute neighborhoods around moved nodes and re-enforce mutuality.
@@ -246,8 +252,7 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     bad = changed_ids[(changed_ids < 0) | (changed_ids >= n)]
     if bad.size:
         raise DomainError(f"changed id {bad[0]} out of range [0, {n})")
-    if g.knn_d2 is None:
-        raise DomainError("graph is missing directed k-NN lists; rebuild it from embeddings")
+    require_directed_lists(g)
 
     rows = emb.rows
     knn_ids = g.knn_ids.copy()

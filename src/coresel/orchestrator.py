@@ -140,7 +140,7 @@ def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
     all_ids = list(range(provider.n))
     rows, scores = provider.extract_features(all_ids)
     emb = EmbeddingTable(rows)
-    ledger = ScoreLedger.from_scores(scores, step=provider.step, history_cap=cfg.history_cap)
+    ledger = ScoreLedger.from_scores(scores, step=provider.step, window=cfg.t_c + 1)
     stage_seconds["extract"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
@@ -165,8 +165,7 @@ def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
         for _ in range(interval_len):
             losses.append(provider.train_step(selection.members))
             _, member_scores = provider.extract_features(selection.members)
-            for i, s in zip(selection.members, member_scores):
-                ledger.record(i, provider.step, float(s))
+            ledger.record(selection.members, provider.step, member_scores)
         stage_seconds["train"] += time.perf_counter() - t0
 
         check = None

@@ -1,5 +1,9 @@
 """Sample embeddings, the importance-score ledger, and their on-disk formats.
 
+The ledger keeps a fixed window of recent entries per sample: t_c + 1 in an
+adaptive run, every entry a drift check reads, and 1 by default, so ``coresel
+select`` keeps each sample's latest score. No config key sets the window.
+
 Embedding file (binary): magic ``GRCE``, format version u32=1, n as u64, d as
 u32, then n*d little-endian float32 values in row-major order. Score stream
 (text): one JSON object per line with keys ``id``, ``step``, ``score``.
@@ -9,9 +13,7 @@ from __future__ import annotations
 
 import io
 import json
-import math
 import struct
-from bisect import bisect_left
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -50,9 +52,6 @@ class EmbeddingTable:
     @property
     def d(self) -> int:
         return self.rows.shape[1]
-
-    def copy(self) -> "EmbeddingTable":
-        return EmbeddingTable(self.rows)
 
     def __eq__(self, other):
         return isinstance(other, EmbeddingTable) and np.array_equal(self.rows, other.rows)
@@ -103,76 +102,94 @@ def embeddings_bytes(table: EmbeddingTable) -> bytes:
 
 
 class ScoreLedger:
-    """Raw importance scores with per-sample history and staleness markers.
+    """Raw importance scores: each sample's last ``window`` entries, plus staleness markers.
 
-    ``current[i]`` always equals the score at the largest recorded step of
-    sample i; ``t_history[i]`` is the step of the last accurate (provider)
-    recomputation and only moves through the dynamics module.
+    ``steps`` and ``scores`` are (n, window) arrays; row i holds sample i's
+    most recent entries in ascending step order, right-aligned, with step -1
+    marking an empty slot. ``current`` is the last column, the score at the
+    largest recorded step (0.0 before any). ``t_history[i]`` is the step of
+    the last accurate (provider) recomputation and only moves through the
+    dynamics module.
     """
 
-    def __init__(self, n: int, history_cap: int | None = None):
+    def __init__(self, n: int, window: int = 1):
         if n < 1:
             raise DomainError("ledger needs n >= 1")
-        self.current = np.zeros(n, dtype=np.float64)
+        if window < 1:
+            raise DomainError(f"ledger needs window >= 1, got {window}")
+        self.steps = np.full((n, window), -1, dtype=np.int64)
+        self.scores = np.zeros((n, window), dtype=np.float64)
         self.t_history = np.zeros(n, dtype=np.int64)
-        self._steps: list[list[int]] = [[] for _ in range(n)]
-        self._scores: list[list[float]] = [[] for _ in range(n)]
-        self.history_cap = history_cap
 
     @classmethod
-    def from_scores(cls, scores, step: int, history_cap: int | None = None) -> "ScoreLedger":
+    def from_scores(cls, scores, step: int, window: int = 1) -> "ScoreLedger":
         scores = np.asarray(scores, dtype=np.float64)
-        ledger = cls(scores.shape[0], history_cap=history_cap)
-        for i, s in enumerate(scores):
-            ledger.record(i, step, float(s))
+        ledger = cls(scores.shape[0], window)
+        ledger.record(np.arange(ledger.n), step, scores)
         ledger.t_history[:] = step
         return ledger
 
     @property
     def n(self) -> int:
-        return self.current.shape[0]
+        return self.steps.shape[0]
 
-    def record(self, sample_id: int, step: int, score: float, replace: bool = False) -> None:
-        if not 0 <= sample_id < self.n:
-            raise DomainError(f"sample id {sample_id} out of range [0, {self.n})")
-        if not math.isfinite(score):
-            raise DomainError(f"score for sample {sample_id} must be finite, got {score!r}")
-        if score < 0.0:
-            raise DomainError(f"score for sample {sample_id} must be >= 0, got {score}")
-        steps = self._steps[sample_id]
-        if steps:
-            last = steps[-1]
-            if step == last and replace:
-                self._scores[sample_id][-1] = float(score)
-                self.current[sample_id] = score
-                return
-            if step <= last:
-                raise OrderingError(
-                    f"step {step} for sample {sample_id} is not after last recorded step {last}"
-                )
-        steps.append(int(step))
-        self._scores[sample_id].append(float(score))
-        if self.history_cap is not None and len(steps) > self.history_cap:
-            del steps[0]
-            del self._scores[sample_id][0]
-        self.current[sample_id] = score
+    @property
+    def current(self) -> np.ndarray:
+        return self.scores[:, -1]
+
+    def record(self, sample_ids, step, scores, replace: bool = False) -> None:
+        """Append one entry per distinct id at ``step`` (scalar or one per id), all or none.
+
+        With ``replace``, an entry at a sample's last recorded step overwrites
+        it; otherwise steps must strictly increase.
+        """
+        ids = np.atleast_1d(np.asarray(sample_ids))
+        vals = np.atleast_1d(np.asarray(scores, dtype=np.float64))
+        if ids.ndim != 1 or vals.shape != ids.shape:
+            raise DomainError(f"record needs one score per id, got {vals.shape} for {ids.shape}")
+        if not ids.size:
+            return
+        at = np.broadcast_to(np.asarray(step), ids.shape)
+        ok = (ids >= 0) & (ids < self.n) & (at >= 0) & np.isfinite(vals) & (vals >= 0.0)
+        if not ok.all():
+            i, t, v = ids[~ok][0], at[~ok][0], float(vals[~ok][0])
+            if not 0 <= i < self.n:
+                raise DomainError(f"sample id {i} out of range [0, {self.n})")
+            if t < 0:
+                raise DomainError(f"step for sample {i} must be >= 0, got {t}")
+            if not np.isfinite(v):
+                raise DomainError(f"score for sample {i} must be finite, got {v!r}")
+            raise DomainError(f"score for sample {i} must be >= 0, got {v}")
+        if (np.diff(np.sort(ids)) == 0).any():  # np.unique would import numpy.ma (~1.7 MB)
+            raise DomainError("sample ids of one record call must be distinct")
+        last = self.steps[ids, -1]
+        same = (at == last) & replace
+        late = (at <= last) & ~same
+        if late.any():
+            raise OrderingError(f"step {at[late][0]} for sample {ids[late][0]} is not after "
+                                f"last recorded step {last[late][0]}")
+        rows = ids[~same]
+        self.steps[rows] = np.column_stack((self.steps[rows, 1:], at[~same]))
+        self.scores[rows] = np.column_stack((self.scores[rows, 1:], vals[~same]))
+        self.scores[ids[same], -1] = vals[same]
 
     def score_at(self, sample_id: int, step: int) -> float:
-        steps = self._steps[sample_id]
-        pos = bisect_left(steps, step)
-        if pos == len(steps) or steps[pos] != step:
+        row = self.steps[sample_id].tolist()
+        if step < 0 or step not in row:
             raise DomainError(f"sample {sample_id} has no recorded score at step {step}")
-        return self._scores[sample_id][pos]
+        return float(self.scores[sample_id, row.index(step)])
 
     def steps_for(self, sample_id: int) -> tuple[int, ...]:
-        return tuple(self._steps[sample_id])
+        return tuple(step for step, _ in self.history(sample_id))
 
     def last_step(self, sample_id: int) -> int | None:
-        steps = self._steps[sample_id]
-        return steps[-1] if steps else None
+        last = int(self.steps[sample_id, -1])
+        return None if last < 0 else last
 
     def history(self, sample_id: int) -> list[tuple[int, float]]:
-        return list(zip(self._steps[sample_id], self._scores[sample_id]))
+        filled = self.steps[sample_id] >= 0
+        return list(zip(self.steps[sample_id][filled].tolist(),
+                        self.scores[sample_id][filled].tolist()))
 
     def mark_accurate(self, sample_id: int, step: int) -> None:
         if step < self.t_history[sample_id]:
@@ -181,19 +198,6 @@ class ScoreLedger:
                 f"({self.t_history[sample_id]} -> {step})"
             )
         self.t_history[sample_id] = step
-
-    def pop_last(self, sample_id: int) -> None:
-        """Drop the most recent history entry (rollback support)."""
-        self._steps[sample_id].pop()
-        self._scores[sample_id].pop()
-        scores = self._scores[sample_id]
-        self.current[sample_id] = scores[-1] if scores else 0.0
-
-
-def record_score(ledger: ScoreLedger, sample_id: int, step: int, score: float) -> ScoreLedger:
-    """Append one (step, score) observation for a sample and return the ledger."""
-    ledger.record(sample_id, step, score)
-    return ledger
 
 
 def min_max_normalize(ledger: ScoreLedger) -> np.ndarray:
@@ -211,38 +215,44 @@ def clamp_unit(values, eps: float = CLAMP_EPS) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=np.float64), eps, 1.0 - eps)
 
 
-def load_score_stream(source, n: int, history_cap: int | None = None) -> ScoreLedger:
-    """Replay a score-stream JSONL file into a fresh ledger of n samples."""
-    ledger = ScoreLedger(n, history_cap=history_cap)
+def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
+    """Replay a score-stream JSONL file into a fresh ledger of n samples.
+
+    The whole stream is parsed first; then one ``record`` call enters the
+    k-th entry of every sample, with the checks of a line-by-line replay.
+    """
     if hasattr(source, "read"):
-        _replay_stream(source, ledger)
+        lines = source.readlines()
     else:
         with open(source, "r", encoding="utf-8") as fh:
-            _replay_stream(fh, ledger)
-    return ledger
-
-
-def _replay_stream(fh, ledger: ScoreLedger) -> None:
-    for lineno, line in enumerate(fh, start=1):
-        line = line.strip()
-        if not line:
+            lines = fh.readlines()
+    entries = []
+    for lineno, line in enumerate(lines, start=1):
+        if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            sample_id = int(obj["id"])
-            step = int(obj["step"])
-            score = float(obj["score"])
+            entries.append((int(obj["id"]), int(obj["step"]), float(obj["score"])))
         except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
             raise FormatError(f"score stream line {lineno} is malformed: {exc}") from exc
-        ledger.record(sample_id, step, score)
+    ids, steps = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
+    scores = np.array([e[2] for e in entries], dtype=np.float64)
+    order = np.argsort(ids, kind="stable")
+    rank = np.arange(ids.size) - np.searchsorted(ids[order], ids[order])  # k of order[j]
+    ledger = ScoreLedger(n, window)
+    for k in range(int(rank.max(initial=-1)) + 1):
+        entry = order[rank == k]
+        ledger.record(ids[entry], steps[entry], scores[entry])
+    return ledger
 
 
 def write_score_stream(ledger: ScoreLedger, target) -> None:
     """Dump every ledger history entry as one JSON object per line."""
     def emit(fh):
-        for i in range(ledger.n):
-            for step, score in zip(ledger._steps[i], ledger._scores[i]):
-                fh.write(json.dumps({"id": i, "step": step, "score": score}) + "\n")
+        for i, (steps, scores) in enumerate(zip(ledger.steps.tolist(), ledger.scores.tolist())):
+            for step, score in zip(steps, scores):
+                if step >= 0:
+                    fh.write(json.dumps({"id": i, "step": step, "score": score}) + "\n")
 
     if hasattr(target, "write"):
         emit(target)
@@ -273,7 +283,6 @@ class SelectionConfig:
     n_s_check: int = 32
     seed: int = 0
     normalize_warp: bool = True
-    history_cap: int | None = None
 
     def __post_init__(self):
         self.validate()
@@ -310,8 +319,6 @@ class SelectionConfig:
             bad("lambda_c", f"must be in (0, 1), got {self.lambda_c}")
         if self.n_s_check < 1:
             bad("n_s_check", f"must be a positive integer, got {self.n_s_check}")
-        if self.history_cap is not None and self.history_cap < 1:
-            bad("history_cap", f"must be a positive integer or null, got {self.history_cap}")
 
     def validate_for_dataset(self, n: int) -> None:
         if self.n_s > n:

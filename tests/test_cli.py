@@ -103,6 +103,16 @@ def test_select_to_stdout(emb_file, scores_file, capsys):
     assert len(event["members"]) == 5
 
 
+def test_select_rejects_negative_step(tmp_path, emb_file, capsys):
+    # step -1 marks an empty ledger slot, so a stream may not use it
+    path = tmp_path / "neg.jsonl"
+    path.write_text(json.dumps({"id": 0, "step": -1, "score": 1.0}) + "\n")
+    code = main(["select", "--embeddings", emb_file, "--scores", str(path),
+                 "--budget", "5", "--eta", "0.2"])
+    assert code == 2
+    assert "step" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -165,6 +175,13 @@ def test_run_rejects_unknown_key(tmp_path, capsys):
     code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert code == 2
     assert "lambda_typo" in capsys.readouterr().err
+
+
+def test_run_rejects_history_cap_key(tmp_path, capsys):
+    # the ledger window is t_c + 1, not a config key
+    cfg = run_config(tmp_path, selection={"history_cap": 5})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert "history_cap" in capsys.readouterr().err
 
 
 def test_run_rejects_unknown_strategy(tmp_path, capsys):

@@ -1,5 +1,6 @@
 """Adaptive checking, recalculation targeting, and graph propagation."""
 
+import io
 import math
 
 import numpy as np
@@ -20,7 +21,7 @@ from coresel.dynamics import (
     update_priority,
 )
 from coresel.errors import DataError, DomainError
-from coresel.knn_graph import MutualKnnGraph, build_graph
+from coresel.knn_graph import MutualKnnGraph, build_graph, dump_graph, load_graph
 from coresel.simulator import SimState
 from coresel.store import EmbeddingTable, ScoreLedger, SelectionConfig
 
@@ -40,7 +41,7 @@ def ledger_with(scores, step=0):
 # ---------------------------------------------------------------------------
 
 def test_discrepancy_zero_when_history_constant():
-    ledger = ScoreLedger(3)
+    ledger = ScoreLedger(3, window=5)
     for i in range(3):
         for step in range(1, 6):
             ledger.record(i, step, 2.0)
@@ -48,7 +49,7 @@ def test_discrepancy_zero_when_history_constant():
 
 
 def test_discrepancy_single_term_weight_cancels():
-    ledger = ScoreLedger(1)
+    ledger = ScoreLedger(1, window=2)
     ledger.record(0, 1, 2.0)
     ledger.record(0, 5, 1.0)
     assert discrepancy_check(ledger, [0], [1], 0.99, 5) == pytest.approx(1.0, abs=1e-12)
@@ -58,7 +59,7 @@ def test_discrepancy_matches_double_loop_reference(rng):
     n, steps = 20, 5
     current = 10
     window = list(range(current - steps, current))
-    ledger = ScoreLedger(n)
+    ledger = ScoreLedger(n, window=steps + 1)
     values = rng.uniform(0.5, 3.0, size=(n, steps + 1))
     for i in range(n):
         for pos, step in enumerate(window + [current]):
@@ -77,7 +78,7 @@ def test_discrepancy_matches_double_loop_reference(rng):
 
 
 def test_discrepancy_degenerate_denominator_is_inf():
-    ledger = ScoreLedger(1)
+    ledger = ScoreLedger(1, window=2)
     ledger.record(0, 1, 1.0)
     ledger.record(0, 5, 0.0)
     assert discrepancy_check(ledger, [0], [1], 0.99, 5) == math.inf
@@ -397,13 +398,13 @@ def _cfg(**overrides):
     return SelectionConfig(**base)
 
 
-def _prepare(sim, cfg, warm=15):
+def _prepare(sim, cfg, warm=15, window=None):
     rng = np.random.default_rng(cfg.seed)
     for _ in range(warm):
         sim.train_step(rng.choice(sim.n, size=16, replace=False))
     rows, scores = sim.extract_features(range(sim.n))
     emb = EmbeddingTable(rows)
-    ledger = ScoreLedger.from_scores(scores, step=sim.step)
+    ledger = ScoreLedger.from_scores(scores, step=sim.step, window=window or cfg.t_c + 1)
     graph = build_graph(emb, cfg.k)
     return rng, emb, ledger, graph
 
@@ -504,33 +505,58 @@ class _PatchedProvider:
         return self.patch(self.calls, rows, scores)
 
 
-def _assert_failed_check_leaves_state(patch, error, match):
-    """Run a triggering check through a patched provider; it must raise and change nothing."""
+def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_graph=False):
+    """Run a triggering check through a patched provider; it must raise and change nothing.
+
+    ``window`` sizes the ledger (default t_c + 1); ``reload_graph`` swaps the
+    graph for its dump's reload, which has no directed lists to repair from.
+    """
     cfg = _cfg(delta=0.0, delta_h=0.0)
     sim = SimState.create(n=80, dim=6, classes=3, learning_rate=0.3, seed=7, drift=0.05)
-    gen, emb, ledger, graph = _prepare(sim, cfg)
+    gen, emb, ledger, graph = _prepare(sim, cfg, window=window)
+    if reload_graph:
+        buf = io.StringIO()
+        dump_graph(graph, buf)
+        graph = load_graph(io.StringIO(buf.getvalue()))
     members = list(range(0, 24))
     _train_interval(sim, ledger, members, cfg.t_c - 1)
     sim.train_step(members)  # one unrecorded step, so the probe must recompute
 
     current_before = ledger.current.copy()
     histories_before = [ledger.history(i) for i in range(ledger.n)]
+    t_history_before = ledger.t_history.copy()
     rows_before = emb.rows.copy()
     provider = _PatchedProvider(sim, patch)
     with pytest.raises(error, match=match):
         check_and_update(graph, emb, ledger, members, provider, cfg, gen)
     assert np.array_equal(ledger.current, current_before)
     assert [ledger.history(i) for i in range(ledger.n)] == histories_before
+    assert np.array_equal(ledger.t_history, t_history_before)
     assert np.array_equal(emb.rows, rows_before)
 
 
-def test_check_provider_failure_leaves_state():
-    def offline_after_probe(call, rows, scores):
-        if call > 1:
-            raise RuntimeError("provider offline")
-        return rows, scores
+def _offline_after_probe(call, rows, scores):
+    if call > 1:
+        raise RuntimeError("provider offline")
+    return rows, scores
 
-    _assert_failed_check_leaves_state(offline_after_probe, RuntimeError, "offline")
+
+def test_check_provider_failure_leaves_state():
+    _assert_failed_check_leaves_state(_offline_after_probe, RuntimeError, "offline")
+
+
+def test_check_provider_failure_restores_full_window():
+    # 1 + (t_c - 1) entries fill a window of t_c, so the probe record pushes
+    # each probe sample's oldest entry out; the rollback must bring it back.
+    _assert_failed_check_leaves_state(_offline_after_probe, RuntimeError, "offline",
+                                      window=_cfg().t_c)
+
+
+def test_check_unrepairable_graph_raises_before_any_change():
+    # A reloaded dump has no directed lists, so the repair that a large
+    # embedding shift calls for is impossible; nothing may move before that shows.
+    _assert_failed_check_leaves_state(lambda call, rows, scores: (rows, scores),
+                                      DomainError, "directed", reload_graph=True)
 
 
 def test_check_nan_probe_score_leaves_state():

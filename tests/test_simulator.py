@@ -165,7 +165,7 @@ def _discrepancy_over_run(drift, learning_rate):
                           seed=13, drift=drift)
     ids = list(range(50))
     _, scores = sim.extract_features(ids)
-    ledger = ScoreLedger.from_scores(scores, step=0)
+    ledger = ScoreLedger.from_scores(scores, step=0, window=11)
     for _ in range(10):
         sim.train_step(ids)
         _, scores = sim.extract_features(ids)

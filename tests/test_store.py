@@ -1,6 +1,7 @@
 """Embedding I/O, the score ledger, normalization, and config validation."""
 
 import io
+import math
 import struct
 
 import numpy as np
@@ -18,7 +19,6 @@ from coresel.store import (
     ingest_embeddings,
     load_score_stream,
     min_max_normalize,
-    record_score,
     write_embeddings,
     write_score_stream,
 )
@@ -89,63 +89,73 @@ def test_table_rejects_empty_and_nonfinite():
 
 def test_record_score_basic():
     ledger = ScoreLedger(2)
-    record_score(ledger, 0, 1, 0.5)
+    ledger.record(0, 1, 0.5)
     assert ledger.current[0] == 0.5
     assert ledger.history(0) == [(1, 0.5)]
 
 
 def test_record_score_same_step_is_ordering_error():
     ledger = ScoreLedger(1)
-    record_score(ledger, 0, 1, 0.5)
+    ledger.record(0, 1, 0.5)
     with pytest.raises(OrderingError):
-        record_score(ledger, 0, 1, 0.7)
+        ledger.record(0, 1, 0.7)
 
 
 def test_record_score_rejects_negative_and_nonfinite():
     ledger = ScoreLedger(1)
     with pytest.raises(DomainError):
-        record_score(ledger, 0, 1, -0.1)
+        ledger.record(0, 1, -0.1)
     with pytest.raises(DomainError):
-        record_score(ledger, 0, 1, float("nan"))
+        ledger.record(0, 1, float("nan"))
 
 
 def test_hundred_appends_replay(rng):
-    ledger = ScoreLedger(1)
+    ledger = ScoreLedger(1, window=100)
     values = rng.uniform(0.0, 5.0, size=100)
     for step, v in enumerate(values, start=1):
-        record_score(ledger, 0, step, float(v))
+        ledger.record(0, step, float(v))
     assert len(ledger.history(0)) == 100
     assert ledger.current[0] == values[-1]
     # replaying the history into a fresh ledger reconstructs `current`
-    replay = ScoreLedger(1)
+    replay = ScoreLedger(1, window=100)
     for step, v in ledger.history(0):
-        record_score(replay, 0, step, v)
+        replay.record(0, step, v)
     assert replay.current[0] == ledger.current[0]
 
 
 def test_t_history_untouched_by_record():
     ledger = ScoreLedger.from_scores([1.0, 2.0], step=5)
-    record_score(ledger, 0, 9, 3.0)
+    ledger.record(0, 9, 3.0)
     assert ledger.t_history[0] == 5
 
 
-def test_history_cap_keeps_recent():
-    ledger = ScoreLedger(1, history_cap=3)
+def test_window_keeps_recent():
+    ledger = ScoreLedger(1, window=3)
     for step in range(1, 8):
-        record_score(ledger, 0, step, float(step))
+        ledger.record(0, step, float(step))
     assert ledger.history(0) == [(5, 5.0), (6, 6.0), (7, 7.0)]
     assert ledger.current[0] == 7.0
 
 
-def test_score_at_and_pop_last():
-    ledger = ScoreLedger(1)
-    record_score(ledger, 0, 1, 1.0)
-    record_score(ledger, 0, 4, 2.0)
+def test_batched_record_is_all_or_none():
+    ledger = ScoreLedger(4, window=2)
+    ledger.record([0, 2], 3, [1.0, 2.0])
+    with pytest.raises(OrderingError):
+        ledger.record([1, 2], 3, [0.5, 0.5])   # sample 2 already has step 3
+    with pytest.raises(DomainError, match="distinct"):
+        ledger.record([1, 1], 4, [0.5, 0.5])
+    assert ledger.history(1) == [] and ledger.history(2) == [(3, 2.0)]
+    ledger.record([2, 1], 3, [4.0, 0.5], replace=True)  # replace 2's entry, append 1's
+    assert ledger.history(2) == [(3, 4.0)] and ledger.history(1) == [(3, 0.5)]
+
+
+def test_score_at():
+    ledger = ScoreLedger(1, window=2)
+    ledger.record(0, 1, 1.0)
+    ledger.record(0, 4, 2.0)
     assert ledger.score_at(0, 4) == 2.0
     with pytest.raises(DomainError):
         ledger.score_at(0, 3)
-    ledger.pop_last(0)
-    assert ledger.current[0] == 1.0
 
 
 # ---------------------------------------------------------------------------
@@ -195,16 +205,92 @@ def test_normalization_deterministic():
 # ---------------------------------------------------------------------------
 
 def test_score_stream_round_trip():
-    ledger = ScoreLedger(3)
-    record_score(ledger, 0, 1, 0.25)
-    record_score(ledger, 2, 1, 0.75)
-    record_score(ledger, 0, 2, 0.5)
+    ledger = ScoreLedger(3, window=2)
+    ledger.record(0, 1, 0.25)
+    ledger.record(2, 1, 0.75)
+    ledger.record(0, 2, 0.5)
     buf = io.StringIO()
     write_score_stream(ledger, buf)
-    loaded = load_score_stream(io.StringIO(buf.getvalue()), 3)
+    loaded = load_score_stream(io.StringIO(buf.getvalue()), 3, window=2)
     assert loaded.history(0) == [(1, 0.25), (2, 0.5)]
     assert loaded.history(2) == [(1, 0.75)]
     assert loaded.current.tolist() == ledger.current.tolist()
+
+
+_N = 3
+_IDS = st.sampled_from([0, 1, 2, 0, 1, 2, -1, _N])  # mostly in range
+_SCORES = st.sampled_from([0.0, 0.25, 0.5, 1.25, 2.0, 3.0, -1.0, math.nan, math.inf])
+
+
+@st.composite
+def _record_calls(draw):
+    """[(ids, step, scores, replace, scalar)] on a clock that mostly moves forward.
+
+    Ids may repeat or leave [0, _N); steps may go back or be negative; a
+    batch may carry one step per id.
+    """
+    calls, clock = [], 0
+    for _ in range(draw(st.integers(min_value=0, max_value=30))):
+        clock = max(clock + draw(st.integers(min_value=-2, max_value=3)), -1)
+        size = draw(st.integers(min_value=1, max_value=3))
+        ids = draw(st.lists(_IDS, min_size=size, max_size=size))
+        per_id = draw(st.booleans())
+        lags = st.integers(min_value=0, max_value=2)
+        step = [max(clock - draw(lags), -1) for _ in ids] if per_id else clock
+        scores = draw(st.lists(_SCORES, min_size=size, max_size=size))
+        scalar = size == 1 and not per_id and draw(st.booleans())
+        calls.append((ids, step, scores, draw(st.booleans()), scalar))
+    return calls
+
+
+def _reference_record(ref, window, ids, step, scores, replace):
+    """Apply one call to per-sample (steps, scores) lists; returns the error it must raise."""
+    steps = step if isinstance(step, list) else [step] * len(ids)
+    if (len(set(ids)) < len(ids) or not all(0 <= i < _N for i in ids) or min(steps) < 0
+            or not all(math.isfinite(v) and v >= 0.0 for v in scores)):
+        return DomainError
+    for i, t in zip(ids, steps):
+        if ref[i][0] and (t < ref[i][0][-1] or (t == ref[i][0][-1] and not replace)):
+            return OrderingError
+    for i, t, v in zip(ids, steps, scores):
+        row_steps, row_scores = ref[i]
+        if row_steps and t == row_steps[-1]:
+            row_scores[-1] = v
+            continue
+        row_steps.append(t)
+        row_scores.append(v)
+        del row_steps[:-window], row_scores[:-window]
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(min_value=1, max_value=4), _record_calls())
+def test_ledger_matches_list_reference(window, calls):
+    ledger = ScoreLedger(_N, window=window)
+    ref = [([], []) for _ in range(_N)]
+    for ids, step, scores, replace, scalar in calls:
+        expected = _reference_record(ref, window, ids, step, scores, replace)
+        args = (ids[0], step, scores[0]) if scalar else (ids, step, scores)
+        if expected is None:
+            ledger.record(*args, replace=replace)
+        else:
+            with pytest.raises(expected) as caught:
+                ledger.record(*args, replace=replace)
+            assert type(caught.value) is expected
+        for i, (row_steps, row_scores) in enumerate(ref):
+            assert ledger.history(i) == list(zip(row_steps, row_scores))
+            assert ledger.current[i] == (row_scores[-1] if row_scores else 0.0)
+            assert ledger.last_step(i) == (row_steps[-1] if row_steps else None)
+            for t in range(-1, max(row_steps, default=0) + 2):
+                if t in row_steps:
+                    assert ledger.score_at(i, t) == row_scores[row_steps.index(t)]
+                else:
+                    with pytest.raises(DomainError):
+                        ledger.score_at(i, t)
+    buf = io.StringIO()
+    write_score_stream(ledger, buf)
+    loaded = load_score_stream(io.StringIO(buf.getvalue()), _N, window=window)
+    assert [loaded.history(i) for i in range(_N)] == [ledger.history(i) for i in range(_N)]
 
 
 def test_score_stream_malformed_line():
