@@ -223,9 +223,10 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     scores when the ledger lacks them, and triggers on discrepancy > delta.
     A triggered check recomputes the recal set exactly, propagates scores,
     and, only when the mean embedding shift also crosses delta_h, replaces
-    and propagates embeddings and locally repairs the graph. Provider errors,
-    and provider output that is mis-shaped or non-finite (DataError), leave
-    all state untouched.
+    and propagates embeddings and locally repairs the graph. Any failure,
+    from a provider error or mis-shaped or non-finite provider output
+    (DataError) to an error inside the repair, leaves emb, ledger and lsh as
+    they were (an LSH bucket may list its ids in another order).
     """
     core = sorted(int(i) for i in last_core)
     if not core:
@@ -235,23 +236,30 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     probe = np.sort(rng.choice(core, size=n_probe, replace=False))
 
     stale = probe[ledger.steps[probe, -1] < current_step]
-    saved = ledger.steps[stale], ledger.scores[stale]  # fancy indexing copies
-    if stale.size:
-        _, probe_scores = _extract_checked(provider, stale.tolist(), emb.d)
-        ledger.record(stale, current_step, probe_scores)
+    undo: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (array, rows, saved rows)
 
-    window = _common_window(ledger, probe, cfg.t_c, current_step)
-    delta_i = discrepancy_check(ledger, probe, window, cfg.lambda_c, current_step)
-    plan = UpdatePlan(step=current_step, triggered=bool(delta_i > cfg.delta), delta_I=delta_i)
-    if not plan.triggered:
-        return plan, g
+    def save(array, rows):
+        undo.append((array, rows, array[rows]))  # fancy indexing copies
 
-    recal = select_recal_set(g, ledger, current_step, cfg.k_recal)
-    plan.recal_set = recal
-    if not recal:
-        return plan, g
-
+    changed: list[int] = []
     try:
+        if stale.size:
+            _, probe_scores = _extract_checked(provider, stale.tolist(), emb.d)
+            save(ledger.steps, stale)
+            save(ledger.scores, stale)
+            ledger.record(stale, current_step, probe_scores)
+
+        window = _common_window(ledger, probe, cfg.t_c, current_step)
+        delta_i = discrepancy_check(ledger, probe, window, cfg.lambda_c, current_step)
+        plan = UpdatePlan(step=current_step, triggered=bool(delta_i > cfg.delta), delta_I=delta_i)
+        if not plan.triggered:
+            return plan, g
+
+        recal = select_recal_set(g, ledger, current_step, cfg.k_recal)
+        plan.recal_set = recal
+        if not recal:
+            return plan, g
+
         new_rows, new_scores = _extract_checked(provider, list(recal), emb.d)
         recal_score_map = {i: float(s) for i, s in zip(recal, new_scores)}
         recal_row_map = {i: new_rows[pos] for pos, i in enumerate(recal)}
@@ -270,25 +278,33 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
             require_directed_lists(g)
             emb_map = propagate_embeddings(g, ledger, emb, recal_row_map, cfg.beta_aff)
             plan.propagated_embeddings = {i: r for i, r in emb_map.items() if i not in recal}
+
+        # Apply: scores first (anchors advance t_history, propagated nodes do not).
+        scored = np.fromiter(score_map, dtype=np.int64, count=len(score_map))
+        save(ledger.steps, scored)
+        save(ledger.scores, scored)
+        save(ledger.t_history, np.asarray(recal, dtype=np.int64))
+        ledger.record(list(score_map), current_step, list(score_map.values()), replace=True)
+        for i in recal:
+            ledger.mark_accurate(i, current_step)
+
+        new_graph = g
+        if emb_map:
+            changed = sorted(emb_map)
+            save(emb.rows, np.asarray(changed, dtype=np.int64))
+            for i, row in emb_map.items():
+                emb.rows[i] = row
+            if lsh is not None:
+                lsh.reinsert(changed, emb)
+            new_graph = repair_graph(g, lsh, emb, changed)
+            plan.graph_repaired = True
     except Exception:
-        # Atomicity: restore the probe rows recorded this step and re-raise.
-        ledger.steps[stale], ledger.scores[stale] = saved
+        # Atomicity: put back every row this check overwrote, newest first, and re-raise.
+        for array, rows, saved in reversed(undo):
+            array[rows] = saved
+        if lsh is not None and changed:
+            lsh.reinsert(changed, emb)  # back to the buckets of the restored rows
         raise
-
-    # Apply: scores first (anchors advance t_history, propagated nodes do not).
-    ledger.record(list(score_map), current_step, list(score_map.values()), replace=True)
-    for i in recal:
-        ledger.mark_accurate(i, current_step)
-
-    new_graph = g
-    if emb_map:
-        for i, row in emb_map.items():
-            emb.rows[i] = row
-        changed = sorted(emb_map)
-        if lsh is not None:
-            lsh.reinsert(changed, emb)
-        new_graph = repair_graph(g, lsh, emb, changed)
-        plan.graph_repaired = True
     return plan, new_graph
 
 

@@ -5,6 +5,11 @@ neighbors (Euclidean); its weight is exp(-||h_i - h_j||^2 / 100). The graph is
 stored as fixed-width (n, k) arrays: each node's directed top-k list plus a
 mask of its mutual slots, so repairs after embedding updates can re-enforce
 mutuality without a full rebuild.
+
+Build and repair find neighbors by exact brute force, a few rows at a time:
+each block of distance rows comes from ``rows_sq_dists``, and ``_topk`` takes
+its k nearest by partition instead of sorting whole rows, so neither forms an
+(n, n) matrix. ``pairwise_sq_dists`` is the all-pairs form of the same kernel.
 """
 
 from __future__ import annotations
@@ -23,9 +28,12 @@ WEIGHT_SCALE = 100.0
 DEFAULT_LSH_TABLES = 8
 DEFAULT_LSH_PLANES = 12
 
-# Block size (in elements) of the distance kernels' difference tensors; keeps
-# peak memory around a few tens of MB regardless of n.
-_BLOCK_ELEMS = 1 << 22
+# Block size (in elements) of the distance kernels' difference tensors, and so
+# the number of rows build and repair take per block. A 2 MB tensor keeps every
+# temporary of the top-k pass small. Larger blocks (a 33 MB tensor) raised the
+# process peak, because glibc keeps the freed blocks on its heap under the
+# selector's later (n_s, n_s) temporaries.
+_BLOCK_ELEMS = 1 << 18
 
 
 def _weight(d2):
@@ -116,6 +124,11 @@ class MutualKnnGraph:
         return set(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
+def _block_rows(n: int, d: int) -> int:
+    """Rows per block, so that a block's (rows, n, d) difference tensor holds about _BLOCK_ELEMS."""
+    return max(1, _BLOCK_ELEMS // max(n * d, 1))
+
+
 def _sq_dists_from(x, rows) -> np.ndarray:
     """Squared distances from the rows ``x[rows]`` to every row of ``x``, in row blocks.
 
@@ -127,7 +140,7 @@ def _sq_dists_from(x, rows) -> np.ndarray:
     n, d = x.shape
     m = rows.shape[0]
     out = np.empty((m, n), dtype=np.float64)
-    rows_per_block = max(1, _BLOCK_ELEMS // max(n * d, 1))
+    rows_per_block = _block_rows(n, d)
     for start in range(0, m, rows_per_block):
         stop = min(m, start + rows_per_block)
         diff = x[rows[start:stop], None, :] - x[None, :, :]
@@ -145,11 +158,29 @@ def rows_sq_dists(x, rows) -> np.ndarray:
     return _sq_dists_from(x, rows)
 
 
-def _topk(d2: np.ndarray, self_ids: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k nearest (id, squared distance) pairs, skipping the row's own node."""
-    d2[np.arange(len(self_ids)), self_ids] = np.inf
-    ids = np.argsort(d2, axis=1, kind="stable")[:, :k].copy()  # stable: ties keep smaller id first
-    return ids, np.take_along_axis(d2, ids, axis=1)
+def _row_blocks(x: np.ndarray, ids: np.ndarray):
+    """Yield (block ids, their squared-distance rows) a few rows at a time, self entries at inf."""
+    step = _block_rows(*x.shape)
+    for start in range(0, len(ids), step):
+        block = ids[start:start + step]
+        d2 = rows_sq_dists(x, block)
+        d2[np.arange(len(block)), block] = np.inf
+        yield block, d2
+
+
+def _topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each row's k smallest entries as (column ids, values), ordered by (value, column).
+
+    Every entry at or below the row's k-th smallest value is kept, so ties at
+    the k-th value are settled by column id exactly as a stable full sort would.
+    """
+    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
+    rows, cols = np.nonzero(d2 <= kth)
+    vals = d2[rows, cols]
+    order = np.lexsort((cols, vals, rows))
+    first = np.searchsorted(rows, np.arange(d2.shape[0]))  # each row's run in ``order``
+    take = order[first[:, None] + np.arange(k)]
+    return cols[take], vals[take]
 
 
 def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
@@ -159,7 +190,10 @@ def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
         raise DomainError(f"k must be >= 1, got {k}")
     if k >= n:
         raise DomainError(f"k must be < n (got k={k}, n={n})")
-    knn_ids, knn_d2 = _topk(pairwise_sq_dists(emb.rows), np.arange(n), k)
+    knn_ids = np.empty((n, k), dtype=np.int64)
+    knn_d2 = np.empty((n, k), dtype=np.float64)
+    for block, d2 in _row_blocks(emb.rows, np.arange(n)):
+        knn_ids[block], knn_d2[block] = _topk(d2, k)
     return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 
@@ -260,28 +294,23 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     # A node v is touched when a changed node sat in its list or could now enter it.
     touched = np.isin(g.knn_ids, changed_ids).any(axis=1)
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
-    for u, d2_u in zip(changed_ids.tolist(), rows_sq_dists(rows, changed_ids)):
-        if idx is None:
-            cand = np.delete(np.arange(n), u)
-        else:
-            nbrs = g.knn_ids[u][g.mutual[u]]
-            cand = np.unique(np.concatenate([
-                np.fromiter(idx.query(rows[u]), dtype=np.int64),
-                g.knn_ids[u], nbrs, g.knn_ids[nbrs][g.mutual[nbrs]],
-            ]))
-            cand = cand[cand != u]
-        cand_d2 = d2_u[cand]
-        order = np.argsort(cand_d2, kind="stable")[:k]
-        knn_ids[u] = cand[order]
-        knn_d2[u] = cand_d2[order]
-        kth = kth_d2[cand]
-        touched[cand[(cand_d2 < kth) | ((cand_d2 == kth) & (u < kth_id[cand]))]] = True
+    for block, d2 in _row_blocks(rows, changed_ids):
+        if idx is not None:
+            cand = np.zeros(d2.shape, dtype=bool)
+            for r, u in enumerate(block.tolist()):
+                nbrs = g.knn_ids[u][g.mutual[u]]
+                cand[r, np.concatenate([
+                    np.fromiter(idx.query(rows[u]), dtype=np.int64),
+                    g.knn_ids[u], nbrs, g.knn_ids[nbrs][g.mutual[nbrs]],
+                ])] = True
+            d2[~cand] = np.inf
+        enters = (d2 < kth_d2) | ((d2 == kth_d2) & (block[:, None] < kth_id))
+        touched |= enters.any(axis=0)
+        knn_ids[block], knn_d2[block] = _topk(d2, k)
     touched[changed_ids] = False
 
-    touched_ids = np.flatnonzero(touched)
-    if touched_ids.size:
-        knn_ids[touched_ids], knn_d2[touched_ids] = _topk(
-            rows_sq_dists(rows, touched_ids), touched_ids, k)
+    for block, d2 in _row_blocks(rows, np.flatnonzero(touched)):
+        knn_ids[block], knn_d2[block] = _topk(d2, k)
     return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 

@@ -21,7 +21,8 @@ from coresel.dynamics import (
     update_priority,
 )
 from coresel.errors import DataError, DomainError
-from coresel.knn_graph import MutualKnnGraph, build_graph, dump_graph, load_graph
+from coresel import knn_graph
+from coresel.knn_graph import MutualKnnGraph, build_graph, build_lsh_index, dump_graph, load_graph
 from coresel.simulator import SimState
 from coresel.store import EmbeddingTable, ScoreLedger, SelectionConfig
 
@@ -505,11 +506,18 @@ class _PatchedProvider:
         return self.patch(self.calls, rows, scores)
 
 
-def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_graph=False):
+def _bucket_contents(lsh):
+    return [{sig: sorted(ids) for sig, ids in table.items()} for table in lsh.tables]
+
+
+def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_graph=False,
+                                      with_lsh=False, fault=None):
     """Run a triggering check through a patched provider; it must raise and change nothing.
 
     ``window`` sizes the ledger (default t_c + 1); ``reload_graph`` swaps the
     graph for its dump's reload, which has no directed lists to repair from.
+    ``with_lsh`` gives the check an LSH index, whose buckets must not change
+    either; ``fault()`` runs just before the check, to plant a failure.
     """
     cfg = _cfg(delta=0.0, delta_h=0.0)
     sim = SimState.create(n=80, dim=6, classes=3, learning_rate=0.3, seed=7, drift=0.05)
@@ -518,21 +526,32 @@ def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_g
         buf = io.StringIO()
         dump_graph(graph, buf)
         graph = load_graph(io.StringIO(buf.getvalue()))
+    lsh = build_lsh_index(emb, seed=cfg.seed) if with_lsh else None
     members = list(range(0, 24))
     _train_interval(sim, ledger, members, cfg.t_c - 1)
     sim.train_step(members)  # one unrecorded step, so the probe must recompute
 
     current_before = ledger.current.copy()
     histories_before = [ledger.history(i) for i in range(ledger.n)]
+    steps_before, scores_before = ledger.steps.copy(), ledger.scores.copy()
     t_history_before = ledger.t_history.copy()
     rows_before = emb.rows.copy()
+    if lsh is not None:
+        assignments_before, buckets_before = lsh.assignments.copy(), _bucket_contents(lsh)
     provider = _PatchedProvider(sim, patch)
+    if fault is not None:
+        fault()
     with pytest.raises(error, match=match):
-        check_and_update(graph, emb, ledger, members, provider, cfg, gen)
+        check_and_update(graph, emb, ledger, members, provider, cfg, gen, lsh=lsh)
     assert np.array_equal(ledger.current, current_before)
     assert [ledger.history(i) for i in range(ledger.n)] == histories_before
+    assert np.array_equal(ledger.steps, steps_before)
+    assert np.array_equal(ledger.scores, scores_before)
     assert np.array_equal(ledger.t_history, t_history_before)
     assert np.array_equal(emb.rows, rows_before)
+    if lsh is not None:
+        assert np.array_equal(lsh.assignments, assignments_before)
+        assert _bucket_contents(lsh) == buckets_before
 
 
 def _offline_after_probe(call, rows, scores):
@@ -550,6 +569,17 @@ def test_check_provider_failure_restores_full_window():
     # each probe sample's oldest entry out; the rollback must bring it back.
     _assert_failed_check_leaves_state(_offline_after_probe, RuntimeError, "offline",
                                       window=_cfg().t_c)
+
+
+def test_check_repair_failure_restores_embeddings_ledger_and_lsh(monkeypatch):
+    # The repair runs after the check has written scores, t_history,
+    # embedding rows and LSH buckets; a failure inside it must undo all of them.
+    def out_of_memory(x, rows):
+        raise MemoryError("injected in rows_sq_dists")
+
+    _assert_failed_check_leaves_state(
+        lambda call, rows, scores: (rows, scores), MemoryError, "injected", with_lsh=True,
+        fault=lambda: monkeypatch.setattr(knn_graph, "rows_sq_dists", out_of_memory))
 
 
 def test_check_unrepairable_graph_raises_before_any_change():

@@ -3,13 +3,15 @@
 import io
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import audit_graph, mutual_knn_oracle
+from coresel import knn_graph
 from coresel.errors import DomainError, FormatError
 from coresel.knn_graph import (
     MutualKnnGraph,
@@ -142,6 +144,43 @@ def test_build_permutation_equivariant(rng):
     # position p in the permuted table holds original sample perm[p]
     relabeled = {tuple(sorted((int(perm[a]), int(perm[b])))) for a, b in g_perm.edge_set()}
     assert relabeled == g.edge_set()
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(230, 300), d=st.sampled_from([16, 32, 64]),
+       k=st.sampled_from([1, 2, 5, 10, 23]), duplicates=st.integers(0, 40))
+def test_build_exact_under_ties_across_blocks(seed, n, d, k, duplicates):
+    # 0/1 coordinates make many equal distances, and duplicated rows add ties at
+    # 0; the rows run over several distance blocks, the last one partial.
+    per_block = knn_graph._block_rows(n, d)
+    assert -(-n // per_block) >= 3
+    assume(n % per_block != 0)
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(0, 2, size=(n, d)).astype(np.float64)
+    for _ in range(duplicates):
+        rows[gen.integers(n)] = rows[gen.integers(n)]
+    g = build_graph(EmbeddingTable(rows), k=k)
+    edges, lists = mutual_knn_oracle(rows, k)
+    assert [row.tolist() for row in g.knn_ids] == lists
+    exact_d2 = ((rows[:, None, :] - rows[g.knn_ids]) ** 2).sum(axis=2)  # integers: exact
+    assert np.array_equal(g.knn_d2, exact_d2)
+    assert g.edge_set() == edges
+    # rows whose k-th distance also belongs to an unlisted node, so the ids decide
+    d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    assert ((d2 <= exact_d2[:, -1:]).sum(axis=1) > k).any()
+
+
+def test_build_never_forms_dense_matrix():
+    # one dense (3000, 3000) float64 array is 68.7 MB; blocked build stays far below
+    emb = EmbeddingTable(np.random.default_rng(0).normal(size=(3000, 16)))
+    tracemalloc.start()
+    try:
+        build_graph(emb, k=10)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_weight_one_iff_coincident(rng):

@@ -165,6 +165,37 @@ def test_greedy_tie_breaks_to_smaller_index():
     assert members[1] == 1
 
 
+def test_greedy_matches_per_round_temporary_reference(rng):
+    # greedy_select reuses one scratch buffer; members and gains must equal,
+    # bit for bit, the loop that allocates a fresh (n, n) temporary each round.
+    n, budget, lam = 300, 40, 0.7
+    x = rng.normal(size=(n, 12))
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    cos = (cos + cos.T) / 2.0
+    warped = rng.uniform(size=n)
+
+    ref_members, ref_gains = [], []
+    selected = np.zeros(n, dtype=bool)
+    cov = np.zeros(n)
+    for r in range(budget):
+        if r == 0:
+            rep_gain = cos.sum(axis=0)
+        else:
+            rep_gain = np.maximum(cos - cov[:, None], 0.0).sum(axis=0)
+        total = lam * rep_gain + (1.0 - lam) * warped
+        total[selected] = -np.inf
+        best = int(np.argmax(total))
+        ref_members.append(best)
+        ref_gains.append(total[best])
+        selected[best] = True
+        cov = cos[:, best].copy() if r == 0 else np.maximum(cov, cos[:, best])
+
+    members, gains = greedy_select(cos, warped, lam, budget)
+    assert members.tolist() == ref_members
+    assert np.array_equal(gains, np.array(ref_gains))
+
+
 # ---------------------------------------------------------------------------
 # brute_force_coreset
 # ---------------------------------------------------------------------------
