@@ -244,7 +244,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     changed: list[int] = []
     try:
         if stale.size:
-            _, probe_scores = _extract_checked(provider, stale.tolist(), emb.d)
+            _, probe_scores = extract_checked(provider, stale.tolist(), emb.d)
             save(ledger.steps, stale)
             save(ledger.scores, stale)
             ledger.record(stale, current_step, probe_scores)
@@ -260,7 +260,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         if not recal:
             return plan, g
 
-        new_rows, new_scores = _extract_checked(provider, list(recal), emb.d)
+        new_rows, new_scores = extract_checked(provider, list(recal), emb.d)
         recal_score_map = {i: float(s) for i, s in zip(recal, new_scores)}
         recal_row_map = {i: new_rows[pos] for pos, i in enumerate(recal)}
 
@@ -308,18 +308,22 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     return plan, new_graph
 
 
-def _extract_checked(provider, ids: list[int], d: int) -> tuple[np.ndarray, np.ndarray]:
+def extract_checked(provider, ids: list[int], d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``provider.extract_features(ids)``, checked before any of it is used.
 
     Raises DataError unless the rows are a finite (len(ids), d) array and the
-    scores a finite, non-negative (len(ids),) array.
+    scores a finite, non-negative (len(ids),) array. With ``d`` None (the
+    first extract, before any width is known) d is the rows' own width.
     """
     rows, scores = provider.extract_features(ids)
     rows = np.asarray(rows, dtype=np.float64)
     scores = np.asarray(scores, dtype=np.float64)
     m = len(ids)
+    if d is None and rows.ndim == 2:
+        d = rows.shape[1]
     if rows.shape != (m, d) or not np.isfinite(rows).all():
-        raise DataError(f"provider rows must be finite with shape ({m}, {d}), got shape {rows.shape}")
+        raise DataError(f"provider rows must be finite with shape ({m}, {'d' if d is None else d}), "
+                        f"got shape {rows.shape}")
     if scores.shape != (m,) or not (np.isfinite(scores) & (scores >= 0.0)).all():
         raise DataError(f"provider scores must be finite and >= 0 with shape ({m},), "
                         f"got shape {scores.shape}")

@@ -4,7 +4,9 @@ Each strategy trains the provider for exactly ``total_steps`` gradient steps
 (warm-up included), so runs are comparable at matched budget. The adaptive
 strategy re-selects a blended-objective coreset from a fresh candidate draw
 every interval and runs the adaptive check after each full interval; the
-baselines substitute their selection rule into the identical loop.
+baselines substitute their selection rule into the identical loop. Every
+provider extract of the adaptive loop goes through ``extract_checked``, so
+malformed or non-finite provider output raises DataError before any use.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dynamics import UpdatePlan, check_and_update
+from .dynamics import UpdatePlan, check_and_update, extract_checked
 from .errors import ConfigError
 from .knn_graph import build_graph, build_lsh_index
 from .scoring import selection_scores
@@ -137,8 +139,7 @@ def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
     stage_seconds["warmup"] = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    all_ids = list(range(provider.n))
-    rows, scores = provider.extract_features(all_ids)
+    rows, scores = extract_checked(provider, list(range(provider.n)))
     emb = EmbeddingTable(rows)
     ledger = ScoreLedger.from_scores(scores, step=provider.step, window=cfg.t_c + 1)
     stage_seconds["extract"] = time.perf_counter() - t0
@@ -164,7 +165,7 @@ def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
         losses = []
         for _ in range(interval_len):
             losses.append(provider.train_step(selection.members))
-            _, member_scores = provider.extract_features(selection.members)
+            _, member_scores = extract_checked(provider, selection.members, emb.d)
             ledger.record(selection.members, provider.step, member_scores)
         stage_seconds["train"] += time.perf_counter() - t0
 

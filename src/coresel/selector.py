@@ -5,6 +5,13 @@ sample's best cosine similarity to a coreset member) + (1 - lambda) * (sum of
 the members' warped importance scores). Greedy selection picks the maximum
 marginal gain each round; a brute-force enumerator serves as the optimality
 oracle for the (1 - 1/e) guarantee.
+
+The greedy is Minoux's lazy greedy and returns what the full-pass loop would,
+bit for bit. Rounds 0 and 1 evaluate every column; later rounds keep stale
+gains as upper bounds and re-evaluate only the stale entries at the top until
+the best bound is fresh. Every coverage gain is summed over rows in order, as
+``sum(axis=0)`` sums the full C-order matrix, which is what makes the bounds
+hold to the bit. Beyond the cosine matrix nothing of size (n, n) is allocated.
 """
 
 from __future__ import annotations
@@ -19,6 +26,10 @@ from .errors import DomainError, ResourceError
 from .store import EmbeddingTable
 
 BRUTE_FORCE_LIMIT = 10 ** 6
+# Rows per block of the greedy's full pass: (64, n) temporaries, not (n, n).
+_BLOCK_ROWS = 64
+# Stale entries the greedy re-evaluates at once from the top of its bounds.
+_BATCH = 8
 
 
 @dataclass
@@ -48,8 +59,8 @@ def _unit_rows(emb: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
 
 
 def _as_sorted_ids(values, what: str) -> np.ndarray:
-    ids = np.asarray(sorted(int(v) for v in values), dtype=np.int64)
-    if ids.size and (ids[0] < 0 or np.unique(ids).size != ids.size):
+    ids = np.sort(np.fromiter(values, dtype=np.int64))
+    if ids.size and (ids[0] < 0 or (np.diff(ids) == 0).any()):  # np.unique imports numpy.ma
         raise DomainError(f"{what} must be distinct non-negative sample ids")
     return ids
 
@@ -74,33 +85,87 @@ def coreset_objective(core, pool, emb: EmbeddingTable, warped, lambda_blend: flo
     return lambda_blend * representation_score(core_ids, pool, emb) + (1.0 - lambda_blend) * importance
 
 
+def _full_coverage_gains(cos_sim, cov) -> tuple[np.ndarray, bool]:
+    """Coverage gain of every column given ``cov``, and whether ``cos_sim`` is symmetric.
+
+    Rows are taken in blocks and their terms max(c - cov, 0) added one row at a
+    time, which is the sequential order of ``sum(axis=0)`` on the full C-order
+    matrix, from +0.0 as it starts.
+    """
+    n = cos_sim.shape[0]
+    rep = np.zeros(n, dtype=np.float64)
+    symmetric = True
+    for r0 in range(0, n, _BLOCK_ROWS):
+        block = cos_sim[r0:r0 + _BLOCK_ROWS]
+        # Upper triangle of the block's rows against the matching columns.
+        symmetric = symmetric and np.array_equal(block[:, r0:], cos_sim[r0:, r0:r0 + _BLOCK_ROWS].T)
+        terms = block - cov[r0:r0 + _BLOCK_ROWS, None]
+        np.maximum(terms, 0.0, out=terms)
+        for row in terms:
+            rep += row
+    return rep, symmetric
+
+
+def _coverage_gains(lines, cov, cols) -> np.ndarray:
+    """Coverage gain of the columns ``cols``, where ``lines[j]`` is column j.
+
+    The terms are summed in row order by ``cumsum``, as in the full pass. They
+    are never -0.0 (``np.maximum(-0.0, 0.0)`` is +0.0), so starting from the
+    first term equals starting from +0.0. A reduction such as ``sum`` over a
+    narrow gather may switch to pairwise summation and change the bits.
+    """
+    terms = lines[cols] - cov
+    np.maximum(terms, 0.0, out=terms)
+    return np.cumsum(terms, axis=1)[:, -1]
+
+
 def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]:
     """Greedy argmax of blended marginal gains over a cosine-similarity matrix.
 
     Returns (members, gains) as local indices into the candidate pool, in
     insertion order. Ties break toward the smaller index. The coverage term of
     the first pick is the plain column sum (the empty coreset covers nothing).
+
+    Lazy (Minoux) evaluation, exact to the bit. Rounds 0 and 1 evaluate every
+    column. From round 1 on, coverage only grows, so each term max(c - cov, 0)
+    only shrinks; rounded arithmetic is monotone, so with the same sequential
+    sum a gain from an earlier round bounds today's from above. Round 0's plain
+    sum is no such bound when cosines are negative. Each later round
+    re-evaluates the top stale entries until the argmax of the bounds (the
+    smallest index among equals) is fresh; that entry is the round's exact
+    argmax. Columns are gathered as rows when ``cos_sim`` is exactly symmetric
+    (checked in round 1) and as strided columns otherwise. No (n, n)
+    temporary is formed.
     """
     n = cos_sim.shape[0]
     members = np.empty(budget, dtype=np.int64)
     gains = np.empty(budget, dtype=np.float64)
-    selected = np.zeros(n, dtype=bool)
+    bound = np.empty(n, dtype=np.float64)   # blended gain as of round fresh[j]
+    fresh = np.zeros(n, dtype=np.int64)     # selected entries: budget, never stale
     cov = np.zeros(n, dtype=np.float64)
-    # One (n, n) buffer for every round: fresh temporaries this large go through
-    # mmap and munmap each round, which doubled run time on a 768-sample pool.
-    scratch = np.empty_like(cos_sim, dtype=np.float64)
+    lines = cos_sim.T                       # lines[j] is column j
     for r in range(budget):
         if r == 0:
-            rep_gain = cos_sim.sum(axis=0)
-        else:
-            np.subtract(cos_sim, cov[:, None], out=scratch)
-            rep_gain = np.maximum(scratch, 0.0, out=scratch).sum(axis=0)
-        total = lam * rep_gain + (1.0 - lam) * warped
-        total[selected] = -np.inf
-        best = int(np.argmax(total))  # first max -> smallest index on ties
+            bound[:] = lam * cos_sim.sum(axis=0) + (1.0 - lam) * warped
+        elif r == 1:
+            rep_gain, symmetric = _full_coverage_gains(cos_sim, cov)
+            bound[:] = lam * rep_gain + (1.0 - lam) * warped
+            bound[members[0]] = -np.inf
+            fresh[fresh < 1] = 1
+            if symmetric:
+                lines = cos_sim  # contiguous rows instead of strided columns
+        best = int(np.argmax(bound))  # first max -> smallest index on ties
+        while fresh[best] < r:
+            stale = np.flatnonzero(fresh < r)
+            if stale.size > _BATCH:
+                stale = stale[np.argpartition(bound[stale], -_BATCH)[-_BATCH:]]
+            bound[stale] = lam * _coverage_gains(lines, cov, stale) + (1.0 - lam) * warped[stale]
+            fresh[stale] = r
+            best = int(np.argmax(bound))
         members[r] = best
-        gains[r] = total[best]
-        selected[best] = True
+        gains[r] = bound[best]
+        bound[best] = -np.inf
+        fresh[best] = budget
         if r == 0:
             cov[:] = cos_sim[:, best]
         else:

@@ -63,3 +63,28 @@ def representation_reference(core, pool, emb: EmbeddingTable) -> float:
             best = max(best, float(vi @ vj) / (ni * np.linalg.norm(vj)))
         total += best
     return total
+
+
+def greedy_reference(cos_sim, warped, lam: float, budget: int):
+    """Full-pass greedy: every round re-sums every column of a fresh (n, n) temporary.
+
+    Returns (members, gains) as lists, in insertion order; ties break toward
+    the smaller index, and round 0's coverage term is the plain column sum.
+    """
+    n = cos_sim.shape[0]
+    members, gains = [], []
+    selected = np.zeros(n, dtype=bool)
+    cov = np.zeros(n)
+    for r in range(budget):
+        if r == 0:
+            rep_gain = cos_sim.sum(axis=0)
+        else:
+            rep_gain = np.maximum(cos_sim - cov[:, None], 0.0).sum(axis=0)
+        total = lam * rep_gain + (1.0 - lam) * warped
+        total[selected] = -np.inf
+        best = int(np.argmax(total))
+        members.append(best)
+        gains.append(total[best])
+        selected[best] = True
+        cov = cos_sim[:, best].copy() if r == 0 else np.maximum(cov, cos_sim[:, best])
+    return members, gains

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from coresel.errors import ConfigError
+from coresel.errors import ConfigError, DataError
 from coresel.orchestrator import run, run_adaptive, run_baseline
 from coresel.simulator import SimState
 from coresel.store import SelectionConfig
@@ -162,3 +162,61 @@ def test_adaptive_selection_uses_fresh_scores():
     triggered = [p for p in report.plans if p.triggered]
     assert triggered
     assert any(p.graph_repaired for p in report.plans)
+
+
+# ---------------------------------------------------------------------------
+# provider boundary: every extract in the loop is checked before use
+# ---------------------------------------------------------------------------
+
+class _FaultyProvider:
+    """Simulator whose ``call``-th ``extract_features`` result goes through ``patch``."""
+
+    def __init__(self, sim, call, patch):
+        self.sim = sim
+        self.call = call
+        self.patch = patch
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self.sim, name)
+
+    def extract_features(self, ids):
+        self.calls += 1
+        rows, scores = self.sim.extract_features(ids)
+        if self.calls == self.call:
+            rows, scores = self.patch(np.array(rows), np.array(scores))
+        return rows, scores
+
+
+def _run_with_fault(call, patch):
+    # Call 1 is the initial full extract; call 2 the first train step's members.
+    provider = _FaultyProvider(_sim(), call, patch)
+    with pytest.raises(DataError) as info:
+        run_adaptive(_cfg(), provider, total_steps=40, warmup_steps=10)
+    assert provider.calls == call
+    return str(info.value)
+
+
+def _nan_first_score(rows, scores):
+    scores[0] = np.nan
+    return rows, scores
+
+
+def test_initial_extract_nan_score_is_data_error():
+    assert "scores" in _run_with_fault(1, _nan_first_score)
+
+
+def test_step_extract_nan_score_is_data_error():
+    assert "scores" in _run_with_fault(2, _nan_first_score)
+
+
+def test_step_extract_short_scores_is_data_error():
+    assert "scores" in _run_with_fault(2, lambda rows, scores: (rows, scores[:-1]))
+
+
+def test_step_extract_nan_rows_of_wrong_width_are_data_error():
+    # The step keeps only the scores, but its rows are checked all the same.
+    def nan_wide_rows(rows, scores):
+        return np.full((rows.shape[0], rows.shape[1] + 1), np.nan), scores
+
+    assert "rows" in _run_with_fault(2, nan_wide_rows)

@@ -1,11 +1,19 @@
 """Blended objective, greedy selection, and the brute-force optimality oracle."""
 
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import positive_table, representation_reference
+import coresel
+from conftest import greedy_reference, positive_table, representation_reference
 from coresel.errors import DomainError, ResourceError
 from coresel.selector import (
     brute_force_coreset,
@@ -166,8 +174,8 @@ def test_greedy_tie_breaks_to_smaller_index():
 
 
 def test_greedy_matches_per_round_temporary_reference(rng):
-    # greedy_select reuses one scratch buffer; members and gains must equal,
-    # bit for bit, the loop that allocates a fresh (n, n) temporary each round.
+    # members and gains must equal, bit for bit, the loop that re-sums every
+    # column of a fresh (n, n) temporary each round
     n, budget, lam = 300, 40, 0.7
     x = rng.normal(size=(n, 12))
     unit = x / np.linalg.norm(x, axis=1, keepdims=True)
@@ -175,25 +183,87 @@ def test_greedy_matches_per_round_temporary_reference(rng):
     cos = (cos + cos.T) / 2.0
     warped = rng.uniform(size=n)
 
-    ref_members, ref_gains = [], []
-    selected = np.zeros(n, dtype=bool)
-    cov = np.zeros(n)
-    for r in range(budget):
-        if r == 0:
-            rep_gain = cos.sum(axis=0)
-        else:
-            rep_gain = np.maximum(cos - cov[:, None], 0.0).sum(axis=0)
-        total = lam * rep_gain + (1.0 - lam) * warped
-        total[selected] = -np.inf
-        best = int(np.argmax(total))
-        ref_members.append(best)
-        ref_gains.append(total[best])
-        selected[best] = True
-        cov = cos[:, best].copy() if r == 0 else np.maximum(cov, cos[:, best])
-
+    ref_members, ref_gains = greedy_reference(cos, warped, lam, budget)
     members, gains = greedy_select(cos, warped, lam, budget)
     assert members.tolist() == ref_members
     assert np.array_equal(gains, np.array(ref_gains))
+
+
+def _tied_matrix(gen, n, symmetric):
+    """Entries on a coarse grid of both signs, so many column sums tie exactly."""
+    m = gen.choice([-1.0, -0.5, 0.0, 0.5, 1.0], size=(n, n))
+    if symmetric:
+        m = np.triu(m) + np.triu(m, 1).T
+    np.fill_diagonal(m, 1.0)
+    return m
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 140),
+       kind=st.sampled_from(["cosine", "tied", "asymmetric"]),
+       duplicates=st.integers(0, 12), lam=st.sampled_from([0.0, 0.5, 1.0]),
+       budget=st.sampled_from(["1", "2", "n"]), tied_warped=st.booleans())
+def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, duplicates, lam, budget,
+                                                tied_warped):
+    # Negative cosines make round 0's column sum no bound on later gains;
+    # duplicated samples tie whole columns; a non-symmetric matrix must be
+    # read by columns. n up to 140 spans three row blocks of the full pass.
+    gen = np.random.default_rng(seed)
+    if kind == "cosine":
+        x = gen.normal(size=(n, int(gen.integers(2, 6))))
+        for _ in range(duplicates):
+            x[gen.integers(n)] = x[gen.integers(n)]
+        unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+        cos = unit @ unit.T
+    else:
+        cos = _tied_matrix(gen, n, symmetric=kind == "tied")
+        for _ in range(duplicates):
+            src, dst = gen.integers(n), gen.integers(n)
+            cos[dst] = cos[src]
+            cos[:, dst] = cos[:, src]
+    if tied_warped:
+        warped = gen.choice([0.0, 0.25, 0.5], size=n)
+    else:
+        warped = gen.uniform(size=n)
+    b = {"1": 1, "2": min(2, n), "n": n}[budget]
+
+    ref_members, ref_gains = greedy_reference(cos, warped, lam, b)
+    members, gains = greedy_select(cos, warped, lam, b)
+    assert members.tolist() == ref_members
+    assert np.array_equal(gains.view(np.int64), np.array(ref_gains).view(np.int64))
+
+
+def test_greedy_never_forms_second_dense_matrix():
+    # one dense (3000, 3000) float64 array is 68.7 MB; only the input may be one
+    x = np.random.default_rng(0).normal(size=(3000, 16))
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    warped = np.random.default_rng(1).uniform(size=3000)
+    tracemalloc.start()
+    try:
+        greedy_select(cos, warped, 0.5, 16)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_selection_does_not_import_numpy_ma():
+    # np.unique imports numpy.ma (about 1.7 MB) on first use; selection avoids it
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from coresel.selector import select_coreset\n"
+        "from coresel.store import EmbeddingTable\n"
+        "gen = np.random.default_rng(0)\n"
+        "emb = EmbeddingTable(gen.normal(size=(40, 4)))\n"
+        "select_coreset(range(40), 5, emb, gen.uniform(size=40), 0.5)\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+    )
+    src = str(Path(coresel.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
 
 
 # ---------------------------------------------------------------------------
