@@ -6,10 +6,15 @@ stored as fixed-width (n, k) arrays: each node's directed top-k list plus a
 mask of its mutual slots, so repairs after embedding updates can re-enforce
 mutuality without a full rebuild.
 
-Build and repair find neighbors by exact brute force, a few rows at a time:
-each block of distance rows comes from ``rows_sq_dists``, and ``_topk`` takes
-its k nearest by partition instead of sorting whole rows, so neither forms an
-(n, n) matrix. ``pairwise_sq_dists`` is the all-pairs form of the same kernel.
+Build and repair find neighbors by exact brute force, a few rows at a time,
+without an (n, n) matrix. Each block of distance rows is first screened with
+one GEMM on mean-centred rows (||x||^2 + ||y||^2 - 2 x.y). A rounding-error
+bound on the screen keeps every column that could be among a row's exact k
+nearest; only those pairs get the exact sum of squared differences, and they
+are ordered by (d^2, id). The exact sums are bitwise the entries of
+``rows_sq_dists``, so the lists equal a stable sort of exact distance rows.
+``rows_sq_dists`` and ``pairwise_sq_dists`` remain the difference kernel in
+full-row and all-pairs form.
 """
 
 from __future__ import annotations
@@ -28,12 +33,34 @@ WEIGHT_SCALE = 100.0
 DEFAULT_LSH_TABLES = 8
 DEFAULT_LSH_PLANES = 12
 
-# Block size (in elements) of the distance kernels' difference tensors, and so
-# the number of rows build and repair take per block. A 2 MB tensor keeps every
-# temporary of the top-k pass small. Larger blocks (a 33 MB tensor) raised the
-# process peak, because glibc keeps the freed blocks on its heap under the
-# selector's later (n_s, n_s) temporaries.
+# Block size in float64 elements: build and repair screen _BLOCK_ELEMS // n
+# rows at a time (a 2 MB (rows, n) block), the exact re-rank gathers its pair
+# differences in chunks of the same size, and the difference kernels size
+# their (rows, n, d) tensors by it. Larger blocks raised the process peak
+# (4 MB screened blocks by 1.9 MB on offline-cli), because glibc keeps freed
+# blocks on its heap under the selector's later (n_s, n_s) temporaries.
 _BLOCK_ELEMS = 1 << 18
+
+# Bound on |screened - exact| for a pair (i, j), per unit u = 2^-53 and
+# N = ||x~_i||^2 + ||x~_j||^2, where x~ = fl(x - mean) are the centred rows.
+# To first order in u (Higham, Accuracy and Stability of Numerical
+# Algorithms, ch. 3: a computed d-term dot product errs by at most
+# gamma_d = d u / (1 - d u) times the sum of the absolute products, in any
+# summation order, BLAS included):
+#   centring  fl(x - mean) moves each coordinate of x_i - x_j by at most
+#             u (|x~_i| + |x~_j|), so the squared distance by 4 u N;
+#   screen    both squared norms gamma_d N, the doubled dot product gamma_d N,
+#             and two additions over magnitudes up to 2 N: 2 (d + 2) u N;
+#   exact sum one rounding in each difference and square plus gamma_(d-1) in
+#             the sum, gamma_(d+2) relative, on a distance of at most 2 N:
+#             2 (d + 2) u N.
+# Together (4 (d + 2) + 4) u N <= 6 (d + 2) u N for d >= 1; c = 8 leaves
+# 2 (d + 2) u N for the second-order terms and for rounding in the bound
+# itself. Each screened row uses its largest bound, N_i + max_j N_j, and adds
+# (d + 2) c smallest subnormals for products that underflow.
+_SCREEN_C = 8.0
+_U = 2.0 ** -53
+_ETA = 2.0 ** -1074
 
 
 def _weight(d2):
@@ -124,8 +151,8 @@ class MutualKnnGraph:
         return set(zip(rows[keep].tolist(), cols[keep].tolist()))
 
 
-def _block_rows(n: int, d: int) -> int:
-    """Rows per block, so that a block's (rows, n, d) difference tensor holds about _BLOCK_ELEMS."""
+def _block_rows(n: int, d: int = 1) -> int:
+    """Rows per block, so that a block's (rows, n, d) values hold about _BLOCK_ELEMS."""
     return max(1, _BLOCK_ELEMS // max(n * d, 1))
 
 
@@ -158,27 +185,85 @@ def rows_sq_dists(x, rows) -> np.ndarray:
     return _sq_dists_from(x, rows)
 
 
-def _row_blocks(x: np.ndarray, ids: np.ndarray):
-    """Yield (block ids, their squared-distance rows) a few rows at a time, self entries at inf."""
-    step = _block_rows(*x.shape)
-    for start in range(0, len(ids), step):
-        block = ids[start:start + step]
-        d2 = rows_sq_dists(x, block)
-        d2[np.arange(len(block)), block] = np.inf
-        yield block, d2
+def _pair_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
+    """Sum of squared coordinate differences of each pair (x[i[p]], x[j[p]]).
 
-
-def _topk(d2: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each row's k smallest entries as (column ids, values), ordered by (value, column).
-
-    Every entry at or below the row's k-th smallest value is kept, so ties at
-    the k-th value are settled by column id exactly as a stable full sort would.
+    Bitwise equal to ``rows_sq_dists(x, i)[p, j[p]]``: the same einsum
+    reduction runs over the same d differences. Pairs go in chunks of about
+    _BLOCK_ELEMS differences.
     """
-    kth = np.partition(d2, k - 1, axis=1)[:, k - 1:k]
-    rows, cols = np.nonzero(d2 <= kth)
-    vals = d2[rows, cols]
+    out = np.empty(len(i), dtype=np.float64)
+    step = _block_rows(1, x.shape[1])
+    for start in range(0, len(i), step):
+        diff = x[i[start:start + step]] - x[j[start:start + step]]
+        out[start:start + step] = np.einsum("pk,pk->p", diff, diff)
+    return out
+
+
+@dataclass(frozen=True)
+class _Screen:
+    """The rows of one build or repair, centred once, with each row's screen error bound."""
+
+    x: np.ndarray
+    centred: np.ndarray
+    sq: np.ndarray       # squared norms of the centred rows
+    eps: np.ndarray      # bound on |screened - exact d2| over each row's columns
+
+    @classmethod
+    def of(cls, x: np.ndarray) -> "_Screen":
+        centred = x - x.mean(axis=0)
+        sq = np.einsum("ij,ij->i", centred, centred)
+        eps = _SCREEN_C * (x.shape[1] + 2) * (_U * (sq + sq.max()) + _ETA)
+        return cls(x=x, centred=centred, sq=sq, eps=eps)
+
+    def blocks(self, ids: np.ndarray):
+        """Yield (block ids, screened d2 rows) a few rows at a time; each block reuses one buffer."""
+        n = self.x.shape[0]
+        step = _block_rows(n)
+        out = np.empty((min(step, len(ids)), n), dtype=np.float64)
+        for start in range(0, len(ids), step):
+            block = ids[start:start + step]
+            yield block, _screened_rows(self, block, out[:len(block)])
+
+    def exact(self, block, rows, cols, cand=None) -> np.ndarray:
+        """Exact d2 of the pairs (block[rows], cols), inf wherever the screen was masked.
+
+        The self column is masked, and so is every column outside ``cand``
+        when a (len(block), n) candidate mask is given.
+        """
+        vals = _pair_sq_dists(self.x, block[rows], cols)
+        masked = cols == block[rows]
+        if cand is not None:
+            masked |= ~cand[rows, cols]
+        vals[masked] = np.inf
+        return vals
+
+
+def _screened_rows(screen: _Screen, block: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """||c_i||^2 + ||c_j||^2 - 2 c_i.c_j over the centred rows c, into ``out``; self entries inf."""
+    np.matmul(screen.centred[block], screen.centred.T, out=out)
+    out *= -2.0
+    out += screen.sq[block, None]
+    out += screen.sq
+    out[np.arange(len(block)), block] = np.inf
+    return out
+
+
+def _nearest(screen: _Screen, block, s, k: int, cand=None) -> tuple[np.ndarray, np.ndarray]:
+    """Each block row's k nearest as (ids, exact d2), ordered by (d2, id).
+
+    A column whose exact d2 is at or below the row's exact k-th value screens
+    within 2 eps of the screened k-th value, so keeping those columns keeps
+    every one a stable sort of the exact row would take, ties at the k-th
+    value included. A NaN screen (overflow) is kept too.
+    """
+    kth = np.partition(s, k - 1, axis=1)[:, k - 1]
+    far = s > (kth + 2.0 * screen.eps[block])[:, None]
+    # one flat scan of the mask is several times faster than a 2-d np.nonzero
+    rows, cols = np.divmod(np.flatnonzero(~far), s.shape[1])
+    vals = screen.exact(block, rows, cols, cand)
     order = np.lexsort((cols, vals, rows))
-    first = np.searchsorted(rows, np.arange(d2.shape[0]))  # each row's run in ``order``
+    first = np.searchsorted(rows, np.arange(len(block)))  # each row's run in ``order``
     take = order[first[:, None] + np.arange(k)]
     return cols[take], vals[take]
 
@@ -192,8 +277,9 @@ def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
         raise DomainError(f"k must be < n (got k={k}, n={n})")
     knn_ids = np.empty((n, k), dtype=np.int64)
     knn_d2 = np.empty((n, k), dtype=np.float64)
-    for block, d2 in _row_blocks(emb.rows, np.arange(n)):
-        knn_ids[block], knn_d2[block] = _topk(d2, k)
+    screen = _Screen.of(emb.rows)
+    for block, s in screen.blocks(np.arange(n)):
+        knn_ids[block], knn_d2[block] = _nearest(screen, block, s, k)
     return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 
@@ -289,28 +375,34 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     require_directed_lists(g)
 
     rows = emb.rows
+    screen = _Screen.of(rows)
     knn_ids = g.knn_ids.copy()
     knn_d2 = g.knn_d2.copy()
     # A node v is touched when a changed node sat in its list or could now enter it.
     touched = np.isin(g.knn_ids, changed_ids).any(axis=1)
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
-    for block, d2 in _row_blocks(rows, changed_ids):
+    for block, s in screen.blocks(changed_ids):
+        cand = None
         if idx is not None:
-            cand = np.zeros(d2.shape, dtype=bool)
+            cand = np.zeros(s.shape, dtype=bool)
             for r, u in enumerate(block.tolist()):
                 nbrs = g.knn_ids[u][g.mutual[u]]
                 cand[r, np.concatenate([
                     np.fromiter(idx.query(rows[u]), dtype=np.int64),
                     g.knn_ids[u], nbrs, g.knn_ids[nbrs][g.mutual[nbrs]],
                 ])] = True
-            d2[~cand] = np.inf
-        enters = (d2 < kth_d2) | ((d2 == kth_d2) & (block[:, None] < kth_id))
-        touched |= enters.any(axis=0)
-        knn_ids[block], knn_d2[block] = _topk(d2, k)
+            s[~cand] = np.inf
+        # A changed node can enter v's list only if it screens within eps of
+        # v's k-th d2; those pairs alone get exact d2 and the (d2, id) test.
+        r, c = np.divmod(np.flatnonzero(~(s - screen.eps[block, None] > kth_d2)), n)
+        d2 = screen.exact(block, r, c, cand)
+        enters = (d2 < kth_d2[c]) | ((d2 == kth_d2[c]) & (block[r] < kth_id[c]))
+        touched[c[enters]] = True
+        knn_ids[block], knn_d2[block] = _nearest(screen, block, s, k, cand)
     touched[changed_ids] = False
 
-    for block, d2 in _row_blocks(rows, np.flatnonzero(touched)):
-        knn_ids[block], knn_d2[block] = _topk(d2, k)
+    for block, s in screen.blocks(np.flatnonzero(touched)):
+        knn_ids[block], knn_d2[block] = _nearest(screen, block, s, k)
     return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 

@@ -32,6 +32,47 @@ def mutual_knn_oracle(rows: np.ndarray, k: int):
     return edges, lists
 
 
+def repair_reference(g, idx, emb: EmbeddingTable, changed):
+    """Local repair over full exact distance rows, as (knn_ids, knn_d2).
+
+    Each changed node's whole row comes from ``rows_sq_dists``. With an LSH
+    index, columns outside its candidates (its buckets, its former list, its
+    mutual neighbors and theirs) are set to inf before its top-k is taken and
+    before the test of which lists it enters. Every other node whose list held
+    a changed node or now admits one gets its whole row again. Top-k is a
+    stable sort of the row, so ties fall to the smaller id.
+    """
+    from coresel.knn_graph import rows_sq_dists
+
+    def dist_row(u):
+        d2 = rows_sq_dists(emb.rows, [u])[0]
+        d2[u] = np.inf
+        return d2
+
+    def topk(d2):
+        ids = np.argsort(d2, kind="stable")[:g.k]
+        return ids, d2[ids]
+
+    changed = np.unique(np.asarray(list(changed), dtype=np.int64))
+    knn_ids, knn_d2 = g.knn_ids.copy(), g.knn_d2.copy()
+    touched = np.isin(g.knn_ids, changed).any(axis=1)
+    kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
+    for u in changed.tolist():
+        d2 = dist_row(u)
+        if idx is not None:
+            nbrs = g.knn_ids[u][g.mutual[u]]
+            cand = np.zeros(g.n, dtype=bool)
+            cand[list(idx.query(emb.rows[u]))] = True
+            cand[g.knn_ids[u]] = cand[nbrs] = cand[g.knn_ids[nbrs][g.mutual[nbrs]]] = True
+            d2[~cand] = np.inf
+        touched |= (d2 < kth_d2) | ((d2 == kth_d2) & (u < kth_id))
+        knn_ids[u], knn_d2[u] = topk(d2)
+    touched[changed] = False
+    for v in np.flatnonzero(touched).tolist():
+        knn_ids[v], knn_d2[v] = topk(dist_row(v))
+    return knn_ids, knn_d2
+
+
 def audit_graph(g, emb: EmbeddingTable) -> None:
     """Assert symmetry, degree cap, no self-loops, weight consistency, and that
     the mutual mask marks exactly the slots whose neighbor lists the node back."""

@@ -3,9 +3,11 @@
 import json
 import os
 
+import numpy as np
 import pytest
 
 from coresel.cli import main
+from coresel.simulator import SimState
 from coresel.store import EmbeddingTable, write_embeddings
 
 
@@ -271,6 +273,22 @@ def test_no_partial_files_on_failure(tmp_path, emb_file):
     code = main(["build-graph", "--embeddings", emb_file, "--k", "5", "--out", out])
     assert code == 3
     assert not os.path.exists(out)
+
+
+def test_run_failing_provider_leaves_no_output_files(tmp_path, monkeypatch, capsys):
+    # a provider that returns NaN rows fails the run as a data error before any write
+    extract = SimState.extract_features
+
+    def nan_rows(self, ids):
+        rows, scores = extract(self, ids)
+        return np.full_like(rows, np.nan), scores
+
+    monkeypatch.setattr(SimState, "extract_features", nan_rows)
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", run_config(tmp_path), "--out-dir", str(out_dir)]) == 3
+    assert "error:" in capsys.readouterr().err
+    for name in ("report.json", "events.jsonl", "selections.jsonl"):
+        assert not (out_dir / name).exists()
 
 
 def test_unknown_flag_rejected(emb_file):

@@ -574,12 +574,12 @@ def test_check_provider_failure_restores_full_window():
 def test_check_repair_failure_restores_embeddings_ledger_and_lsh(monkeypatch):
     # The repair runs after the check has written scores, t_history,
     # embedding rows and LSH buckets; a failure inside it must undo all of them.
-    def out_of_memory(x, rows):
-        raise MemoryError("injected in rows_sq_dists")
+    def out_of_memory(screen, block, out):
+        raise MemoryError("injected in _screened_rows")
 
     _assert_failed_check_leaves_state(
         lambda call, rows, scores: (rows, scores), MemoryError, "injected", with_lsh=True,
-        fault=lambda: monkeypatch.setattr(knn_graph, "rows_sq_dists", out_of_memory))
+        fault=lambda: monkeypatch.setattr(knn_graph, "_screened_rows", out_of_memory))
 
 
 def test_check_unrepairable_graph_raises_before_any_change():

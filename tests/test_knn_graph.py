@@ -4,13 +4,14 @@ import io
 import json
 import math
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import audit_graph, mutual_knn_oracle
+from conftest import audit_graph, mutual_knn_oracle, repair_reference
 from coresel import knn_graph
 from coresel.errors import DomainError, FormatError
 from coresel.knn_graph import (
@@ -148,27 +149,43 @@ def test_build_permutation_equivariant(rng):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(230, 300), d=st.sampled_from([16, 32, 64]),
-       k=st.sampled_from([1, 2, 5, 10, 23]), duplicates=st.integers(0, 40))
-def test_build_exact_under_ties_across_blocks(seed, n, d, k, duplicates):
+       k=st.sampled_from([1, 2, 5, 10, 23]), duplicates=st.integers(0, 40),
+       offset=st.sampled_from([0.0, 1e6]), perturb=st.booleans(),
+       scale=st.sampled_from([1.0, 2.0**-530]))
+def test_build_exact_under_ties_across_blocks(seed, n, d, k, duplicates, offset, perturb, scale):
     # 0/1 coordinates make many equal distances, and duplicated rows add ties at
-    # 0; the rows run over several distance blocks, the last one partial.
-    per_block = knn_graph._block_rows(n, d)
-    assert -(-n // per_block) >= 3
-    assume(n % per_block != 0)
+    # 0; smaller blocks make the rows run over several blocks, the last one
+    # partial. Perturbing every coordinate by up to two units in the last
+    # place leaves near-ties whose gaps (about 1e-15, or 1e-10 under the
+    # 1e6 offset) lie below the screen's rounding: uncentred under the offset,
+    # centred without it. Scaled by 2^-530, squared distances are subnormal and
+    # only the bound's underflow term covers the screen's rounding.
     gen = np.random.default_rng(seed)
     rows = gen.integers(0, 2, size=(n, d)).astype(np.float64)
     for _ in range(duplicates):
         rows[gen.integers(n)] = rows[gen.integers(n)]
-    g = build_graph(EmbeddingTable(rows), k=k)
-    edges, lists = mutual_knn_oracle(rows, k)
-    assert [row.tolist() for row in g.knn_ids] == lists
-    exact_d2 = ((rows[:, None, :] - rows[g.knn_ids]) ** 2).sum(axis=2)  # integers: exact
-    assert np.array_equal(g.knn_d2, exact_d2)
-    assert g.edge_set() == edges
-    # rows whose k-th distance also belongs to an unlisted node, so the ids decide
-    d2 = ((rows[:, None, :] - rows[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    assert ((d2 <= exact_d2[:, -1:]).sum(axis=1) > k).any()
+    if perturb:
+        ulp = np.spacing(offset + 1.0)
+        rows += ulp * gen.integers(-2, 3, size=(n, d))
+    rows += offset  # exact: every value stays a multiple of ulp
+    rows *= scale
+    with mock.patch.object(knn_graph, "_BLOCK_ELEMS", 1 << 14):
+        per_block = knn_graph._block_rows(n)
+        assert -(-n // per_block) >= 3
+        assume(n % per_block != 0)
+        g = build_graph(EmbeddingTable(rows), k=k)
+    # the bit-level reference: a stable sort of the exact distance rows
+    full = rows_sq_dists(rows, np.arange(n))
+    np.fill_diagonal(full, np.inf)
+    ref_ids = np.argsort(full, axis=1, kind="stable")[:, :k]
+    assert np.array_equal(g.knn_ids, ref_ids)
+    assert np.array_equal(g.knn_d2, np.take_along_axis(full, ref_ids, axis=1))
+    if not perturb:  # integer coordinates: every distance is exact
+        edges, lists = mutual_knn_oracle(rows, k)
+        assert [row.tolist() for row in g.knn_ids] == lists
+        assert g.edge_set() == edges
+        # rows whose k-th distance also belongs to an unlisted node, so the ids decide
+        assert ((full <= g.knn_d2[:, -1:]).sum(axis=1) > k).any()
 
 
 def test_build_never_forms_dense_matrix():
@@ -181,6 +198,38 @@ def test_build_never_forms_dense_matrix():
     finally:
         tracemalloc.stop()
     assert peak < 16 * 2**20
+
+
+def test_build_exact_when_screen_overflows(rng):
+    # Squared norms near 1e320 overflow the screen to inf and nan; the
+    # distances within each tight group stay finite and must still be exact.
+    rows = np.concatenate([c + rng.normal(size=(30, 3)) * 1e150
+                           for c in rng.normal(size=(4, 3)) * 1e160])
+    with np.errstate(over="ignore", invalid="ignore"):
+        g = build_graph(EmbeddingTable(rows), k=5)
+        full = rows_sq_dists(rows, np.arange(len(rows)))
+    np.fill_diagonal(full, np.inf)
+    ref_ids = np.argsort(full, axis=1, kind="stable")[:, :5]
+    assert np.array_equal(g.knn_ids, ref_ids)
+    assert np.array_equal(g.knn_d2, np.take_along_axis(full, ref_ids, axis=1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 70),
+       scale=st.sampled_from([1e-3, 1.0, 1e3]), offset=st.sampled_from([0.0, 1e6]),
+       layout=st.sampled_from(["C", "F", "strided"]), small_chunks=st.booleans())
+def test_pair_sq_dists_bitwise_equal_rows_sq_dists(seed, n, d, scale, offset, layout, small_chunks):
+    # The re-rank's exact sums become knn_d2; einsum's reduction can change
+    # with d and with strides, so pin them to the full-row kernel bit for bit.
+    gen = np.random.default_rng(seed)
+    base = gen.normal(size=(n, 2 * d)) * scale + offset
+    x = {"C": np.ascontiguousarray(base[:, :d]), "F": np.asfortranarray(base[:, :d]),
+         "strided": base[:, ::2]}[layout]
+    i, j = gen.integers(0, n, size=(2, 400))[:, ::2]  # non-contiguous id arrays
+    with mock.patch.object(knn_graph, "_BLOCK_ELEMS", 64 if small_chunks else knn_graph._BLOCK_ELEMS):
+        got = knn_graph._pair_sq_dists(x, i, j)
+    want = rows_sq_dists(x, i)[np.arange(len(i)), j]
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
 def test_weight_one_iff_coincident(rng):
@@ -360,6 +409,62 @@ def test_repair_sequences_equal_rebuild_exactly(seed, n, d, k_frac, duplicates, 
     assert np.array_equal(g.knn_d2, rebuilt.knn_d2)
     assert np.array_equal(g.mutual, rebuilt.mutual)
     assert np.array_equal(g.weights, rebuilt.weights)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80), d=st.integers(1, 8),
+       k_frac=st.floats(0.0, 1.0), data=st.sampled_from(["normal", "grid", "offset"]),
+       lsh=st.booleans(), padded=st.integers(0, 3))
+def test_repair_equals_full_row_reference(seed, n, d, k_frac, data, lsh, padded):
+    # Grid rows tie; offset rows (1e6 plus a few units in the last place) make
+    # near-ties below the screen's rounding. Single-table 16-plane buckets hold
+    # few nodes, and a list padded with the node itself at inf (what a repair
+    # with fewer than k candidates leaves) adds no candidates, so padded
+    # changed nodes have fewer than k finite candidates.
+    gen = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 2)) if n > 2 else 1
+    assume(k < n)
+    if data == "normal":
+        rows = gen.normal(size=(n, d))
+    elif data == "grid":
+        rows = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        rows = 1e6 + gen.integers(0, 2, size=(n, d)) + gen.integers(-2, 3, size=(n, d)) * 2.0**-33
+    emb = EmbeddingTable(rows)
+    g = build_graph(emb, k=k)
+    idx = build_lsh_index(emb, num_tables=1, planes=16, seed=seed % 1000) if lsh else None
+    changed = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+    lists, d2 = g.knn_ids.copy(), g.knn_d2.copy()
+    for u in changed[:padded]:
+        lists[u], d2[u] = u, np.inf
+    g = MutualKnnGraph.from_lists(lists, d2)
+    moved = gen.random(len(changed)) < 0.5
+    emb.rows[changed[moved]] += gen.normal(size=(int(moved.sum()), d)) * gen.choice([1e-9, 0.1, 2.0])
+    emb.rows[changed[~moved]] = emb.rows[gen.integers(n, size=int((~moved).sum()))]
+    if idx is not None:
+        idx.reinsert(changed, emb)
+    repaired = repair_graph(g, idx, emb, changed.tolist())
+    ref_ids, ref_d2 = repair_reference(g, idx, emb, changed)
+    assert np.array_equal(repaired.knn_ids, ref_ids)
+    assert np.array_equal(repaired.knn_d2, ref_d2)
+
+
+def test_repair_never_forms_dense_matrix():
+    # the screened repair of every node, with LSH candidate masks, stays far
+    # below one dense (3000, 3000) float64 array (68.7 MB)
+    gen = np.random.default_rng(0)
+    emb = EmbeddingTable(gen.normal(size=(3000, 16)))
+    g = build_graph(emb, k=10)
+    idx = build_lsh_index(emb)
+    emb.rows += 0.05 * gen.normal(size=emb.rows.shape)
+    idx.reinsert(range(emb.n), emb)
+    tracemalloc.start()
+    try:
+        repair_graph(g, idx, emb, range(emb.n))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_repair_untouched_edges_unmodified(rng):
