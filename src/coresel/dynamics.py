@@ -34,7 +34,7 @@ class UpdatePlan:
     recal_scores: dict[int, float] = field(default_factory=dict)
     delta_H: float | None = None
     propagated_scores: dict[int, float] = field(default_factory=dict)
-    propagated_embeddings: dict[int, np.ndarray] = field(default_factory=dict)
+    propagated_embeddings: tuple[int, ...] = ()  # ids whose rows blended toward anchors
     graph_repaired: bool = False
     old_scores: dict[int, float] = field(default_factory=dict)
     anchor_sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
@@ -225,8 +225,8 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     and, only when the mean embedding shift also crosses delta_h, replaces
     and propagates embeddings and locally repairs the graph. Any failure,
     from a provider error or mis-shaped or non-finite provider output
-    (DataError) to an error inside the repair, leaves emb, ledger and lsh as
-    they were (an LSH bucket may list its ids in another order).
+    (DataError) to an error inside the repair, leaves emb and ledger as they
+    were. ``lsh`` holds only hyperplanes, so no check changes it.
     """
     core = sorted(int(i) for i in last_core)
     if not core:
@@ -241,7 +241,6 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     def save(array, rows):
         undo.append((array, rows, array[rows]))  # fancy indexing copies
 
-    changed: list[int] = []
     try:
         if stale.size:
             _, probe_scores = extract_checked(provider, stale.tolist(), emb.d)
@@ -277,7 +276,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         if plan.delta_H > cfg.delta_h:
             require_directed_lists(g)
             emb_map = propagate_embeddings(g, ledger, emb, recal_row_map, cfg.beta_aff)
-            plan.propagated_embeddings = {i: r for i, r in emb_map.items() if i not in recal}
+            plan.propagated_embeddings = tuple(sorted(set(emb_map) - set(recal)))
 
         # Apply: scores first (anchors advance t_history, propagated nodes do not).
         scored = np.fromiter(score_map, dtype=np.int64, count=len(score_map))
@@ -294,16 +293,12 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
             save(emb.rows, np.asarray(changed, dtype=np.int64))
             for i, row in emb_map.items():
                 emb.rows[i] = row
-            if lsh is not None:
-                lsh.reinsert(changed, emb)
             new_graph = repair_graph(g, lsh, emb, changed)
             plan.graph_repaired = True
     except Exception:
         # Atomicity: put back every row this check overwrote, newest first, and re-raise.
         for array, rows, saved in reversed(undo):
             array[rows] = saved
-        if lsh is not None and changed:
-            lsh.reinsert(changed, emb)  # back to the buckets of the restored rows
         raise
     return plan, new_graph
 

@@ -15,12 +15,15 @@ are ordered by (d^2, id). The exact sums are bitwise the entries of
 ``rows_sq_dists``, so the lists equal a stable sort of exact distance rows.
 ``rows_sq_dists`` and ``pairwise_sq_dists`` remain the difference kernel in
 full-row and all-pairs form.
+
+The LSH index holds only its hyperplanes: repair hashes the current rows once
+per call, so no index state follows the embeddings or needs undoing.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -283,70 +286,42 @@ def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
     return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class LshIndex:
-    """Random-hyperplane sign-hash index; one bucket per sample per table."""
+    """Random-hyperplane sign hashes (Charikar, STOC 2002): only the hyperplanes.
 
-    num_tables: int
-    planes_per_table: int
-    seed: int
-    hyperplanes: np.ndarray                  # (tables, planes, d)
-    tables: list[dict[int, list[int]]] = field(default_factory=list)
-    assignments: np.ndarray | None = None    # (n, tables) signatures
+    A row's signature in table t packs the signs of its dot products with that
+    table's planes. The index keeps no buckets; a query compares signatures of
+    the current rows, so an embedding that moves needs no update.
+    """
 
-    def signatures(self, vectors: np.ndarray) -> np.ndarray:
-        vectors = np.atleast_2d(vectors)
+    hyperplanes: np.ndarray  # (tables, planes, d)
+
+    def signatures(self, vectors) -> np.ndarray:
+        """(rows, tables) signatures. The rows are made contiguous first: the einsum's
+        summation order, and so a row's bits, would otherwise follow the input's layout."""
+        vectors = np.ascontiguousarray(np.atleast_2d(vectors), dtype=np.float64)
         bits = np.einsum("tpd,nd->ntp", self.hyperplanes, vectors) >= 0.0
-        weights = 1 << np.arange(self.planes_per_table, dtype=np.int64)
-        return bits @ weights
+        return bits @ (1 << np.arange(self.hyperplanes.shape[1], dtype=np.int64))
 
-    def query(self, vector: np.ndarray) -> set[int]:
-        sigs = self.signatures(vector)[0]
-        out: set[int] = set()
-        for t in range(self.num_tables):
-            out.update(self.tables[t].get(int(sigs[t]), ()))
-        return out
-
-    def reinsert(self, ids, emb: EmbeddingTable) -> None:
-        """Move the given samples to the buckets of their current embeddings."""
-        ids = sorted(set(int(i) for i in ids))
-        if not ids:
-            return
-        sigs = self.signatures(emb.rows[ids])
-        for pos, i in enumerate(ids):
-            for t in range(self.num_tables):
-                old_sig = int(self.assignments[i, t])
-                bucket = self.tables[t][old_sig]
-                bucket.remove(i)
-                if not bucket:
-                    del self.tables[t][old_sig]
-                new_sig = int(sigs[pos, t])
-                self.tables[t].setdefault(new_sig, []).append(i)
-                self.assignments[i, t] = new_sig
+    def query(self, sigs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+        """Flat indices into a (len(rows), n) mask of the pairs (r, j) whose
+        signatures in ``sigs`` agree in some table: rows[r]'s bucket mates."""
+        hit = np.zeros((len(rows), len(sigs)), dtype=bool)
+        # one table at a time: a (rows, n, tables) broadcast compare was 4x slower
+        for table in np.ascontiguousarray(sigs.T):
+            hit |= table[rows, None] == table
+        return np.flatnonzero(hit)
 
 
 def build_lsh_index(emb: EmbeddingTable, num_tables: int = DEFAULT_LSH_TABLES,
                     planes: int = DEFAULT_LSH_PLANES, seed: int = 0) -> LshIndex:
-    """Deterministic sign-hash index over the table's rows."""
+    """Deterministic sign-hash index for the table's dimension."""
     if num_tables < 1 or planes < 1:
         raise DomainError(f"need num_tables >= 1 and planes >= 1, got {num_tables}, {planes}")
     if emb.d < 1:
         raise DomainError("cannot hash 0-dimensional embeddings")
-    rng = np.random.default_rng(seed)
-    hyperplanes = rng.standard_normal((num_tables, planes, emb.d))
-    index = LshIndex(
-        num_tables=num_tables,
-        planes_per_table=planes,
-        seed=seed,
-        hyperplanes=hyperplanes,
-    )
-    sigs = index.signatures(emb.rows)
-    index.tables = [dict() for _ in range(num_tables)]
-    for i in range(emb.n):
-        for t in range(num_tables):
-            index.tables[t].setdefault(int(sigs[i, t]), []).append(i)
-    index.assignments = sigs.astype(np.int64)
-    return index
+    return LshIndex(np.random.default_rng(seed).standard_normal((num_tables, planes, emb.d)))
 
 
 def require_directed_lists(g: MutualKnnGraph) -> None:
@@ -359,11 +334,12 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
                  changed) -> MutualKnnGraph:
     """Recompute neighborhoods around moved nodes and re-enforce mutuality.
 
-    Candidate lists for each changed node come from its LSH buckets plus its
-    former directed list, its mutual neighbors and theirs; without an index
+    A changed node's candidates are the nodes that share one of its LSH
+    buckets, where signatures come from the current rows, plus its former
+    directed list and its mutual neighbors' mutual neighbors. Without an index
     (``idx`` None) the candidate set is every node, which makes the repair
-    exactly equal to a full rebuild. Unchanged nodes whose membership
-    cannot have moved keep their lists; edges between them are left as they were.
+    exactly equal to a full rebuild. Unchanged nodes whose membership cannot
+    have moved keep their lists; edges between them are left as they were.
     """
     changed_ids = np.unique(np.fromiter((int(c) for c in changed), dtype=np.int64))
     if not changed_ids.size:
@@ -374,8 +350,8 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
         raise DomainError(f"changed id {bad[0]} out of range [0, {n})")
     require_directed_lists(g)
 
-    rows = emb.rows
-    screen = _Screen.of(rows)
+    screen = _Screen.of(emb.rows)
+    sigs = None if idx is None else idx.signatures(emb.rows)
     knn_ids = g.knn_ids.copy()
     knn_d2 = g.knn_d2.copy()
     # A node v is touched when a changed node sat in its list or could now enter it.
@@ -383,14 +359,13 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
     for block, s in screen.blocks(changed_ids):
         cand = None
-        if idx is not None:
+        if sigs is not None:
             cand = np.zeros(s.shape, dtype=bool)
-            for r, u in enumerate(block.tolist()):
-                nbrs = g.knn_ids[u][g.mutual[u]]
-                cand[r, np.concatenate([
-                    np.fromiter(idx.query(rows[u]), dtype=np.int64),
-                    g.knn_ids[u], nbrs, g.knn_ids[nbrs][g.mutual[nbrs]],
-                ])] = True
+            cand.flat[idx.query(sigs, block)] = True
+            lists = g.knn_ids[block]  # (m, k), the mutual neighbors among them
+            cand[np.arange(len(block))[:, None], lists] = True
+            second = g.mutual[block][:, :, None] & g.mutual[lists]  # (m, k, k)
+            cand[np.nonzero(second)[0], g.knn_ids[lists][second]] = True
             s[~cand] = np.inf
         # A changed node can enter v's list only if it screens within eps of
         # v's k-th d2; those pairs alone get exact d2 and the (d2, id) test.

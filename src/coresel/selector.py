@@ -85,8 +85,8 @@ def coreset_objective(core, pool, emb: EmbeddingTable, warped, lambda_blend: flo
     return lambda_blend * representation_score(core_ids, pool, emb) + (1.0 - lambda_blend) * importance
 
 
-def _full_coverage_gains(cos_sim, cov) -> tuple[np.ndarray, bool]:
-    """Coverage gain of every column given ``cov``, and whether ``cos_sim`` is symmetric.
+def _full_coverage_gains(cos_sim, cov) -> np.ndarray:
+    """Coverage gain of every column given ``cov``.
 
     Rows are taken in blocks and their terms max(c - cov, 0) added one row at a
     time, which is the sequential order of ``sum(axis=0)`` on the full C-order
@@ -94,37 +94,35 @@ def _full_coverage_gains(cos_sim, cov) -> tuple[np.ndarray, bool]:
     """
     n = cos_sim.shape[0]
     rep = np.zeros(n, dtype=np.float64)
-    symmetric = True
     for r0 in range(0, n, _BLOCK_ROWS):
-        block = cos_sim[r0:r0 + _BLOCK_ROWS]
-        # Upper triangle of the block's rows against the matching columns.
-        symmetric = symmetric and np.array_equal(block[:, r0:], cos_sim[r0:, r0:r0 + _BLOCK_ROWS].T)
-        terms = block - cov[r0:r0 + _BLOCK_ROWS, None]
+        terms = cos_sim[r0:r0 + _BLOCK_ROWS] - cov[r0:r0 + _BLOCK_ROWS, None]
         np.maximum(terms, 0.0, out=terms)
         for row in terms:
             rep += row
-    return rep, symmetric
+    return rep
 
 
-def _coverage_gains(lines, cov, cols) -> np.ndarray:
-    """Coverage gain of the columns ``cols``, where ``lines[j]`` is column j.
+def _coverage_gains(cos_sim, cov, cols) -> np.ndarray:
+    """Coverage gain of the columns ``cols``, read as rows of the symmetric ``cos_sim``.
 
     The terms are summed in row order by ``cumsum``, as in the full pass. They
     are never -0.0 (``np.maximum(-0.0, 0.0)`` is +0.0), so starting from the
     first term equals starting from +0.0. A reduction such as ``sum`` over a
     narrow gather may switch to pairwise summation and change the bits.
     """
-    terms = lines[cols] - cov
+    terms = cos_sim[cols] - cov
     np.maximum(terms, 0.0, out=terms)
     return np.cumsum(terms, axis=1)[:, -1]
 
 
 def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]:
-    """Greedy argmax of blended marginal gains over a cosine-similarity matrix.
+    """Greedy argmax of blended marginal gains over a symmetric cosine-similarity matrix.
 
     Returns (members, gains) as local indices into the candidate pool, in
     insertion order. Ties break toward the smaller index. The coverage term of
     the first pick is the plain column sum (the empty coreset covers nothing).
+    ``cos_sim`` must be exactly symmetric, as ``unit @ unit.T`` is: column j
+    is read as row j.
 
     Lazy (Minoux) evaluation, exact to the bit. Rounds 0 and 1 evaluate every
     column. From round 1 on, coverage only grows, so each term max(c - cov, 0)
@@ -133,9 +131,7 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
     sum is no such bound when cosines are negative. Each later round
     re-evaluates the top stale entries until the argmax of the bounds (the
     smallest index among equals) is fresh; that entry is the round's exact
-    argmax. Columns are gathered as rows when ``cos_sim`` is exactly symmetric
-    (checked in round 1) and as strided columns otherwise. No (n, n)
-    temporary is formed.
+    argmax. No (n, n) temporary is formed.
     """
     n = cos_sim.shape[0]
     members = np.empty(budget, dtype=np.int64)
@@ -143,23 +139,19 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
     bound = np.empty(n, dtype=np.float64)   # blended gain as of round fresh[j]
     fresh = np.zeros(n, dtype=np.int64)     # selected entries: budget, never stale
     cov = np.zeros(n, dtype=np.float64)
-    lines = cos_sim.T                       # lines[j] is column j
     for r in range(budget):
         if r == 0:
             bound[:] = lam * cos_sim.sum(axis=0) + (1.0 - lam) * warped
         elif r == 1:
-            rep_gain, symmetric = _full_coverage_gains(cos_sim, cov)
-            bound[:] = lam * rep_gain + (1.0 - lam) * warped
+            bound[:] = lam * _full_coverage_gains(cos_sim, cov) + (1.0 - lam) * warped
             bound[members[0]] = -np.inf
             fresh[fresh < 1] = 1
-            if symmetric:
-                lines = cos_sim  # contiguous rows instead of strided columns
         best = int(np.argmax(bound))  # first max -> smallest index on ties
         while fresh[best] < r:
             stale = np.flatnonzero(fresh < r)
             if stale.size > _BATCH:
                 stale = stale[np.argpartition(bound[stale], -_BATCH)[-_BATCH:]]
-            bound[stale] = lam * _coverage_gains(lines, cov, stale) + (1.0 - lam) * warped[stale]
+            bound[stale] = lam * _coverage_gains(cos_sim, cov, stale) + (1.0 - lam) * warped[stale]
             fresh[stale] = r
             best = int(np.argmax(bound))
         members[r] = best
@@ -167,9 +159,9 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
         bound[best] = -np.inf
         fresh[best] = budget
         if r == 0:
-            cov[:] = cos_sim[:, best]
+            cov[:] = cos_sim[best]
         else:
-            np.maximum(cov, cos_sim[:, best], out=cov)
+            np.maximum(cov, cos_sim[best], out=cov)
     return members, gains
 
 

@@ -32,15 +32,31 @@ def mutual_knn_oracle(rows: np.ndarray, k: int):
     return edges, lists
 
 
+def lsh_buckets(idx, rows: np.ndarray) -> list[dict[int, set[int]]]:
+    """Per table, signature -> ids: bucket tables filled one vector at a time."""
+    tables = [{} for _ in range(idx.hyperplanes.shape[0])]
+    for i, row in enumerate(rows):
+        for table, sig in zip(tables, idx.signatures(row)[0].tolist()):
+            table.setdefault(sig, set()).add(i)
+    return tables
+
+
+def lsh_candidates(tables, idx, vector) -> set[int]:
+    """Union over tables of the bucket the vector's own signature falls in."""
+    sigs = idx.signatures(vector)[0].tolist()
+    return set().union(*(table.get(sig, set()) for table, sig in zip(tables, sigs)))
+
+
 def repair_reference(g, idx, emb: EmbeddingTable, changed):
     """Local repair over full exact distance rows, as (knn_ids, knn_d2).
 
     Each changed node's whole row comes from ``rows_sq_dists``. With an LSH
-    index, columns outside its candidates (its buckets, its former list, its
-    mutual neighbors and theirs) are set to inf before its top-k is taken and
-    before the test of which lists it enters. Every other node whose list held
-    a changed node or now admits one gets its whole row again. Top-k is a
-    stable sort of the row, so ties fall to the smaller id.
+    index, columns outside its candidates (its buckets over the current rows,
+    its former list, its mutual neighbors and theirs) are set to inf before
+    its top-k is taken and before the test of which lists it enters. Every
+    other node whose list held a changed node or now admits one gets its
+    whole row again. Top-k is a stable sort of the row, so ties fall to the
+    smaller id.
     """
     from coresel.knn_graph import rows_sq_dists
 
@@ -57,12 +73,13 @@ def repair_reference(g, idx, emb: EmbeddingTable, changed):
     knn_ids, knn_d2 = g.knn_ids.copy(), g.knn_d2.copy()
     touched = np.isin(g.knn_ids, changed).any(axis=1)
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
+    tables = lsh_buckets(idx, emb.rows) if idx is not None else None
     for u in changed.tolist():
         d2 = dist_row(u)
         if idx is not None:
             nbrs = g.knn_ids[u][g.mutual[u]]
             cand = np.zeros(g.n, dtype=bool)
-            cand[list(idx.query(emb.rows[u]))] = True
+            cand[list(lsh_candidates(tables, idx, emb.rows[u]))] = True
             cand[g.knn_ids[u]] = cand[nbrs] = cand[g.knn_ids[nbrs][g.mutual[nbrs]]] = True
             d2[~cand] = np.inf
         touched |= (d2 < kth_d2) | ((d2 == kth_d2) & (u < kth_id))

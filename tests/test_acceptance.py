@@ -206,7 +206,6 @@ def test_criterion_06_graph_correctness():
     idx = build_lsh_index(emb2, 8, 12, seed=1)
     changed = sorted(rng.choice(400, size=20, replace=False).tolist())
     emb2.rows[changed] += 0.05 * rng.normal(size=(20, 8))
-    idx.reinsert(changed, emb2)
     repaired = repair_graph(g2, idx, emb2, changed)
     rebuilt = build_graph(emb2, k=8)
     union = repaired.edge_set() | rebuilt.edge_set()

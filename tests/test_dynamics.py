@@ -443,7 +443,7 @@ def test_check_triggered_scores_only_when_shift_small():
     assert plan.triggered
     assert plan.delta_H is not None and plan.delta_H >= 0.0
     assert not plan.graph_repaired
-    assert plan.propagated_embeddings == {}
+    assert plan.propagated_embeddings == ()
     assert np.array_equal(emb.rows, rows_before)          # embeddings untouched
     assert graph2.edge_set() == edges_before              # graph untouched
     assert not np.array_equal(ledger.current, current_before)  # scores moved
@@ -458,8 +458,11 @@ def test_check_triggered_with_graph_repair():
     rng, emb, ledger, graph = _prepare(sim, cfg)
     members = list(range(0, 32))
     _train_interval(sim, ledger, members, cfg.t_c)
+    rows_before = emb.rows.copy()
     plan, graph2 = check_and_update(graph, emb, ledger, members, sim, cfg, rng)
     assert plan.triggered and plan.graph_repaired
+    moved = np.flatnonzero((emb.rows != rows_before).any(axis=1))
+    assert list(plan.propagated_embeddings) == sorted(set(moved.tolist()) - set(plan.recal_set))
     for a in plan.recal_set:
         rows, _ = sim.extract_features([a])
         assert np.allclose(emb.rows[a], rows[0])
@@ -506,18 +509,14 @@ class _PatchedProvider:
         return self.patch(self.calls, rows, scores)
 
 
-def _bucket_contents(lsh):
-    return [{sig: sorted(ids) for sig, ids in table.items()} for table in lsh.tables]
-
-
 def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_graph=False,
                                       with_lsh=False, fault=None):
     """Run a triggering check through a patched provider; it must raise and change nothing.
 
     ``window`` sizes the ledger (default t_c + 1); ``reload_graph`` swaps the
     graph for its dump's reload, which has no directed lists to repair from.
-    ``with_lsh`` gives the check an LSH index, whose buckets must not change
-    either; ``fault()`` runs just before the check, to plant a failure.
+    ``with_lsh`` gives the check an LSH index, so a failing repair runs on
+    LSH candidates; ``fault()`` runs just before the check, to plant a failure.
     """
     cfg = _cfg(delta=0.0, delta_h=0.0)
     sim = SimState.create(n=80, dim=6, classes=3, learning_rate=0.3, seed=7, drift=0.05)
@@ -536,8 +535,6 @@ def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_g
     steps_before, scores_before = ledger.steps.copy(), ledger.scores.copy()
     t_history_before = ledger.t_history.copy()
     rows_before = emb.rows.copy()
-    if lsh is not None:
-        assignments_before, buckets_before = lsh.assignments.copy(), _bucket_contents(lsh)
     provider = _PatchedProvider(sim, patch)
     if fault is not None:
         fault()
@@ -549,9 +546,6 @@ def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_g
     assert np.array_equal(ledger.scores, scores_before)
     assert np.array_equal(ledger.t_history, t_history_before)
     assert np.array_equal(emb.rows, rows_before)
-    if lsh is not None:
-        assert np.array_equal(lsh.assignments, assignments_before)
-        assert _bucket_contents(lsh) == buckets_before
 
 
 def _offline_after_probe(call, rows, scores):
@@ -572,8 +566,9 @@ def test_check_provider_failure_restores_full_window():
 
 
 def test_check_repair_failure_restores_embeddings_ledger_and_lsh(monkeypatch):
-    # The repair runs after the check has written scores, t_history,
-    # embedding rows and LSH buckets; a failure inside it must undo all of them.
+    # The repair runs after the check has written scores, t_history and
+    # embedding rows; a failure inside it must undo all of them. The LSH index
+    # holds only hyperplanes, so there is nothing of it to undo.
     def out_of_memory(screen, block, out):
         raise MemoryError("injected in _screened_rows")
 

@@ -11,10 +11,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import audit_graph, mutual_knn_oracle, repair_reference
+from conftest import (audit_graph, lsh_buckets, lsh_candidates, mutual_knn_oracle,
+                      repair_reference)
 from coresel import knn_graph
 from coresel.errors import DomainError, FormatError
 from coresel.knn_graph import (
+    LshIndex,
     MutualKnnGraph,
     build_graph,
     build_lsh_index,
@@ -255,39 +257,69 @@ def test_lsh_deterministic(rng):
     emb = EmbeddingTable(rng.normal(size=(80, 8)))
     a = build_lsh_index(emb, 4, 6, seed=3)
     b = build_lsh_index(emb, 4, 6, seed=3)
-    assert a.tables == b.tables
-    assert np.array_equal(a.assignments, b.assignments)
+    assert a.hyperplanes.shape == (4, 6, 8)
+    assert np.array_equal(a.hyperplanes, b.hyperplanes)
+    assert np.array_equal(a.signatures(emb.rows), b.signatures(emb.rows))
 
 
-def test_lsh_one_bucket_per_table(rng):
-    emb = EmbeddingTable(rng.normal(size=(50, 5)))
-    idx = build_lsh_index(emb, 6, 8, seed=0)
-    for table in idx.tables:
-        seen = [i for bucket in table.values() for i in bucket]
-        assert sorted(seen) == list(range(50))
+def _candidate_mask(idx, rows: np.ndarray) -> np.ndarray:
+    """(n, n) mask of the pairs that share a bucket, from one block query over all rows."""
+    n = rows.shape[0]
+    cand = np.zeros((n, n), dtype=bool)
+    cand.flat[idx.query(idx.signatures(rows), np.arange(n))] = True
+    return cand
 
 
-def test_lsh_reinsert_moves_bucket(rng):
-    emb = EmbeddingTable(rng.normal(size=(30, 6)))
-    idx = build_lsh_index(emb, 5, 7, seed=1)
-    emb.rows[4] = -emb.rows[4] * 3.0
-    idx.reinsert([4], emb)
-    expected = idx.signatures(emb.rows[[4]])[0]
-    assert np.array_equal(idx.assignments[4], expected)
-    for table in idx.tables:
-        seen = [i for bucket in table.values() for i in bucket]
-        assert sorted(seen) == list(range(30))
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), d=st.integers(1, 70),
+       tables=st.integers(1, 8), planes=st.integers(1, 16), zeros=st.integers(0, 3),
+       duplicates=st.integers(0, 6), data=st.sampled_from(["normal", "grid"]))
+def test_lsh_block_query_equals_bucket_union(seed, n, d, tables, planes, zeros, duplicates, data):
+    # Per-vector bucket tables are the reference. Zero rows sign-hash to all
+    # ones; duplicate and grid rows share every bucket.
+    gen = np.random.default_rng(seed)
+    rows = gen.normal(size=(n, d)) if data == "normal" else gen.integers(-1, 2, size=(n, d)) * 1.0
+    rows[gen.integers(n, size=zeros)] = 0.0
+    for _ in range(duplicates):
+        rows[gen.integers(n)] = rows[gen.integers(n)]
+    emb = EmbeddingTable(rows)
+    idx = build_lsh_index(emb, tables, planes, seed=seed % 1000)
+    block = np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
+    expected = []
+    buckets = lsh_buckets(idx, rows)
+    for r, u in enumerate(block.tolist()):
+        expected.extend(r * n + j for j in sorted(lsh_candidates(buckets, idx, rows[u])))
+    found = idx.query(idx.signatures(rows), block)
+    assert found.tolist() == expected
+
+
+@pytest.mark.parametrize("d", [1, 5, 16, 64])
+def test_lsh_signatures_independent_of_batch(d):
+    # The einsum's summation order follows the input's layout; rows nearly
+    # orthogonal to a plane make its rounding decide the sign bit.
+    gen = np.random.default_rng(d)
+    idx = LshIndex(gen.standard_normal((8, 12, d)))
+    rows = gen.normal(size=(300, d))
+    for i in range(0, 300, 2):
+        p = idx.hyperplanes[gen.integers(8), gen.integers(12)]
+        rows[i] -= (rows[i] @ p) / (p @ p) * p
+    full = idx.signatures(rows)
+    wide = np.zeros((300, 3 * d))
+    wide[:, 1::3] = rows
+    assert np.array_equal(idx.signatures(wide[:, 1::3]), full)          # strided columns
+    assert np.array_equal(idx.signatures(np.asfortranarray(rows)), full)
+    assert np.array_equal(idx.signatures(rows[::-1]), full[::-1])       # negative row stride
+    assert np.array_equal(idx.signatures(rows[7::5]), full[7::5])
+    singles = np.concatenate([idx.signatures(rows[i]) for i in range(300)])
+    assert np.array_equal(singles, full)
 
 
 def test_lsh_candidate_recall_on_clusters(rng):
     emb = clustered_table(rng, 500, 16)
     idx = build_lsh_index(emb, 8, 12, seed=0)
     _, lists = mutual_knn_oracle(emb.rows, 10)
-    recalls = []
-    for i in range(emb.n):
-        cand = idx.query(emb.rows[i])
-        cand.discard(i)
-        recalls.append(len(cand & set(lists[i])) / 10.0)
+    cand = _candidate_mask(idx, emb.rows)
+    recalls = [cand[i, lists[i]].sum() / 10.0 for i in range(emb.n)]
     assert float(np.mean(recalls)) >= 0.9
 
 
@@ -338,7 +370,6 @@ def test_repair_small_perturbation_jaccard(rng):
     idx = build_lsh_index(emb, 8, 12, seed=2)
     changed = sorted(rng.choice(300, size=15, replace=False).tolist())  # 5% of nodes
     emb.rows[changed] += 0.05 * rng.normal(size=(15, 8))
-    idx.reinsert(changed, emb)
     repaired = repair_graph(g, idx, emb, changed)
     rebuilt = build_graph(emb, k=6)
     inter = repaired.edge_set() & rebuilt.edge_set()
@@ -441,8 +472,6 @@ def test_repair_equals_full_row_reference(seed, n, d, k_frac, data, lsh, padded)
     moved = gen.random(len(changed)) < 0.5
     emb.rows[changed[moved]] += gen.normal(size=(int(moved.sum()), d)) * gen.choice([1e-9, 0.1, 2.0])
     emb.rows[changed[~moved]] = emb.rows[gen.integers(n, size=int((~moved).sum()))]
-    if idx is not None:
-        idx.reinsert(changed, emb)
     repaired = repair_graph(g, idx, emb, changed.tolist())
     ref_ids, ref_d2 = repair_reference(g, idx, emb, changed)
     assert np.array_equal(repaired.knn_ids, ref_ids)
@@ -457,7 +486,6 @@ def test_repair_never_forms_dense_matrix():
     g = build_graph(emb, k=10)
     idx = build_lsh_index(emb)
     emb.rows += 0.05 * gen.normal(size=emb.rows.shape)
-    idx.reinsert(range(emb.n), emb)
     tracemalloc.start()
     try:
         repair_graph(g, idx, emb, range(emb.n))
@@ -484,16 +512,11 @@ def test_repair_all_changed_recall_tracks_lsh(rng):
     g = build_graph(emb, k=5)
     idx = build_lsh_index(emb, 8, 12, seed=4)
     emb.rows += 0.02 * rng.normal(size=emb.rows.shape)
-    idx.reinsert(range(emb.n), emb)
     repaired = repair_graph(g, idx, emb, range(emb.n))
     rebuilt = build_graph(emb, k=5)
     _, lists = mutual_knn_oracle(emb.rows, 5)
-    lsh_recalls = []
-    for i in range(emb.n):
-        cand = idx.query(emb.rows[i])
-        cand.discard(i)
-        lsh_recalls.append(len(cand & set(lists[i])) / 5.0)
-    lsh_recall = float(np.mean(lsh_recalls))
+    cand = _candidate_mask(idx, emb.rows)
+    lsh_recall = float(np.mean([cand[i, lists[i]].sum() / 5.0 for i in range(emb.n)]))
     true_edges = rebuilt.edge_set()
     edge_recall = len(repaired.edge_set() & true_edges) / len(true_edges)
     assert edge_recall >= lsh_recall

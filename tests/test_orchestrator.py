@@ -1,11 +1,17 @@
 """Full-loop behavior: budgets, determinism, check wiring, baselines."""
 
+import ast
+import importlib
+import importlib.util
 import json
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from coresel import orchestrator
 from coresel.errors import ConfigError, DataError
 from coresel.orchestrator import run, run_adaptive, run_baseline
 from coresel.simulator import SimState
@@ -220,3 +226,47 @@ def test_step_extract_nan_rows_of_wrong_width_are_data_error():
         return np.full((rows.shape[0], rows.shape[1] + 1), np.nan), scores
 
     assert "rows" in _run_with_fault(2, nan_wide_rows)
+
+
+# ---------------------------------------------------------------------------
+# names the end-to-end benchmark (e2ebench/) reaches into
+# ---------------------------------------------------------------------------
+
+E2EBENCH = Path(__file__).resolve().parents[1] / "e2ebench"
+
+
+def test_select_probe_fires_once_per_interval(monkeypatch):
+    # e2ebench times the loop by wrapping orchestrator.select_coreset; a loop
+    # that called a selector bound elsewhere would leave its probe silent.
+    calls = []
+    select = orchestrator.select_coreset
+
+    def probe(*args, **kwargs):
+        calls.append(1)
+        return select(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "select_coreset", probe)
+    report = run_adaptive(_cfg(), _sim(), total_steps=70, warmup_steps=10)
+    assert len(report.intervals) == 4
+    assert len(calls) == len(report.intervals)
+
+
+def test_every_e2ebench_span_target_resolves(monkeypatch):
+    spec = importlib.util.spec_from_file_location("e2ebench_spans", E2EBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
+    spec.loader.exec_module(spans)
+    assert spans.TARGETS
+    missing = [t.where for t in spans.TARGETS if spans._resolve(t.where) is None]
+    assert missing == []
+
+
+def test_every_name_e2ebench_gates_import_from_coresel_exists():
+    tree = ast.parse((E2EBENCH / "gates.py").read_text(encoding="utf-8"))
+    imports = [(node.module, alias.name) for node in ast.walk(tree)
+               if isinstance(node, ast.ImportFrom) and (node.module or "").split(".")[0] == "coresel"
+               for alias in node.names]
+    assert imports
+    missing = [f"{module}.{name}" for module, name in imports
+               if not hasattr(importlib.import_module(module), name)]
+    assert missing == []
