@@ -56,27 +56,36 @@ def discrepancy_check(ledger: ScoreLedger, sample_set, t_c_window, lambda_c: flo
 
     Returns +inf as the distinct undefined signal when any probe sample's
     current score is zero (a collapsed denominator); an empty window yields 0.
+    As a loop over samples in id order would, the first sample without a
+    score at the current step or a window step raises DomainError, unless an
+    earlier sample's zero denominator already returned +inf.
     """
     if not 0.0 < lambda_c < 1.0:
         raise DomainError(f"lambda_c must be in (0, 1), got {lambda_c}")
-    ids = sorted(int(i) for i in sample_set)
-    if not ids:
+    ids = np.array(sorted(int(i) for i in sample_set), dtype=np.int64)
+    if not ids.size:
         raise DomainError("sample_set must be nonempty")
     window = sorted(int(t) for t in t_c_window)
     if not window:
         return 0.0
+    steps = np.array([current_step, *window])
+    hit = ledger.steps[ids][:, None, :] == steps[:, None]  # (probe, 1 + window, slots)
+    found = hit.any(axis=2) & (steps >= 0)
+    vals = np.take_along_axis(ledger.scores[ids], hit.argmax(axis=2), axis=1)  # junk if not found
+    now, num, den = vals[:, 0], np.zeros(len(ids)), np.zeros(len(ids))
+    for c, t_k in enumerate(window, 1):
+        w = lambda_c ** (t_k - current_step)
+        num += w * np.abs(vals[:, c] - now)
+        den += w * now
+    stop = ~found.all(axis=1) | (den == 0.0)
+    if stop.any():
+        first = int(np.argmax(stop))
+        if not found[first].all():
+            ledger.score_at(int(ids[first]), int(steps[np.argmin(found[first])]))  # raises
+        return math.inf
     total = 0.0
-    for i in ids:
-        now = ledger.score_at(i, current_step)
-        num = 0.0
-        den = 0.0
-        for t_k in window:
-            w = lambda_c ** (t_k - current_step)
-            num += w * abs(ledger.score_at(i, t_k) - now)
-            den += w * now
-        if den == 0.0:
-            return math.inf
-        total += num / den
+    for ratio in (num / den).tolist():  # builtin sum compensates floats from Python 3.12
+        total += ratio
     return total / len(ids)
 
 
@@ -133,12 +142,15 @@ def affinity(g: MutualKnnGraph, ledger: ScoreLedger, i, j):
 def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
                            beta_aff: float) -> dict[int, tuple[int, ...]]:
     """For each non-anchor: its anchor neighbors with affinity above the threshold."""
-    anchor_ids = np.unique(np.fromiter((int(a) for a in anchors), dtype=np.int64))
+    anchor_ids = np.sort(np.fromiter((int(a) for a in anchors), dtype=np.int64))
     if anchor_ids.size and not (0 <= anchor_ids[0] and anchor_ids[-1] < g.n):
         raise DomainError(f"anchor ids must lie in [0, {g.n})")
-    slots = g.mutual[anchor_ids]
+    is_anchor = np.zeros(g.n, dtype=bool)  # np.unique and np.isin import numpy.ma (1.7 MB)
+    is_anchor[anchor_ids] = True
+    anchor_ids = np.flatnonzero(is_anchor)
+    slots = g.mutual[anchor_ids]  # mutual slots hold no -1 padding: nodes index is_anchor
     nodes, owners = g.knn_ids[anchor_ids][slots], np.repeat(anchor_ids, slots.sum(axis=1))
-    keep = ~np.isin(nodes, anchor_ids) & (affinity(g, ledger, nodes, owners) > beta_aff)
+    keep = ~is_anchor[nodes] & (affinity(g, ledger, nodes, owners) > beta_aff)
     out: dict[int, tuple[int, ...]] = {}
     for i, j in sorted(zip(nodes[keep].tolist(), owners[keep].tolist())):
         out[i] = out.get(i, ()) + (j,)

@@ -341,7 +341,7 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     exactly equal to a full rebuild. Unchanged nodes whose membership cannot
     have moved keep their lists; edges between them are left as they were.
     """
-    changed_ids = np.unique(np.fromiter((int(c) for c in changed), dtype=np.int64))
+    changed_ids = np.sort(np.fromiter((int(c) for c in changed), dtype=np.int64))
     if not changed_ids.size:
         return g
     n, k = g.n, g.k
@@ -349,13 +349,16 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     if bad.size:
         raise DomainError(f"changed id {bad[0]} out of range [0, {n})")
     require_directed_lists(g)
+    moved = np.zeros(n, dtype=bool)  # np.unique and np.isin import numpy.ma (1.7 MB)
+    moved[changed_ids] = True
+    changed_ids = np.flatnonzero(moved)
 
     screen = _Screen.of(emb.rows)
     sigs = None if idx is None else idx.signatures(emb.rows)
     knn_ids = g.knn_ids.copy()
     knn_d2 = g.knn_d2.copy()
     # A node v is touched when a changed node sat in its list or could now enter it.
-    touched = np.isin(g.knn_ids, changed_ids).any(axis=1)
+    touched = moved[g.knn_ids].any(axis=1)  # directed lists hold no -1 padding
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
     for block, s in screen.blocks(changed_ids):
         cand = None
@@ -374,7 +377,7 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
         enters = (d2 < kth_d2[c]) | ((d2 == kth_d2[c]) & (block[r] < kth_id[c]))
         touched[c[enters]] = True
         knn_ids[block], knn_d2[block] = _nearest(screen, block, s, k, cand)
-    touched[changed_ids] = False
+    touched &= ~moved
 
     for block, s in screen.blocks(np.flatnonzero(touched)):
         knn_ids[block], knn_d2[block] = _nearest(screen, block, s, k)

@@ -9,9 +9,10 @@ oracle for the (1 - 1/e) guarantee.
 The greedy is Minoux's lazy greedy and returns what the full-pass loop would,
 bit for bit. Rounds 0 and 1 evaluate every column; later rounds keep stale
 gains as upper bounds and re-evaluate only the stale entries at the top until
-the best bound is fresh. Every coverage gain is summed over rows in order, as
-``sum(axis=0)`` sums the full C-order matrix, which is what makes the bounds
-hold to the bit. Beyond the cosine matrix nothing of size (n, n) is allocated.
+the best bound is fresh. From round 1 on, every coverage gain is numpy's
+pairwise sum of one contiguous row of terms, an order fixed per column, which
+is what makes the bounds hold to the bit. Beyond the cosine matrix nothing of
+size (n, n) is allocated.
 """
 
 from __future__ import annotations
@@ -26,10 +27,10 @@ from .errors import DomainError, ResourceError
 from .store import EmbeddingTable
 
 BRUTE_FORCE_LIMIT = 10 ** 6
-# Rows per block of the greedy's full pass: (64, n) temporaries, not (n, n).
+# Columns per chunk of the gain kernel: (64, n) temporaries, not (n, n).
 _BLOCK_ROWS = 64
 # Stale entries the greedy re-evaluates at once from the top of its bounds.
-_BATCH = 8
+_BATCH = 16
 
 
 @dataclass
@@ -85,34 +86,20 @@ def coreset_objective(core, pool, emb: EmbeddingTable, warped, lambda_blend: flo
     return lambda_blend * representation_score(core_ids, pool, emb) + (1.0 - lambda_blend) * importance
 
 
-def _full_coverage_gains(cos_sim, cov) -> np.ndarray:
-    """Coverage gain of every column given ``cov``.
-
-    Rows are taken in blocks and their terms max(c - cov, 0) added one row at a
-    time, which is the sequential order of ``sum(axis=0)`` on the full C-order
-    matrix, from +0.0 as it starts.
-    """
-    n = cos_sim.shape[0]
-    rep = np.zeros(n, dtype=np.float64)
-    for r0 in range(0, n, _BLOCK_ROWS):
-        terms = cos_sim[r0:r0 + _BLOCK_ROWS] - cov[r0:r0 + _BLOCK_ROWS, None]
-        np.maximum(terms, 0.0, out=terms)
-        for row in terms:
-            rep += row
-    return rep
-
-
 def _coverage_gains(cos_sim, cov, cols) -> np.ndarray:
     """Coverage gain of the columns ``cols``, read as rows of the symmetric ``cos_sim``.
 
-    The terms are summed in row order by ``cumsum``, as in the full pass. They
-    are never -0.0 (``np.maximum(-0.0, 0.0)`` is +0.0), so starting from the
-    first term equals starting from +0.0. A reduction such as ``sum`` over a
-    narrow gather may switch to pairwise summation and change the bits.
+    Each gain is the pairwise sum of its contiguous row of terms max(c - cov, 0),
+    the same bits whichever columns share the call. Each chunk is gathered
+    fresh and turned into terms in place: one (64, n) temporary.
     """
-    terms = cos_sim[cols] - cov
-    np.maximum(terms, 0.0, out=terms)
-    return np.cumsum(terms, axis=1)[:, -1]
+    out = np.empty(len(cols), dtype=np.float64)
+    for c0 in range(0, len(cols), _BLOCK_ROWS):
+        terms = cos_sim[cols[c0:c0 + _BLOCK_ROWS]]
+        terms -= cov
+        np.maximum(terms, 0.0, out=terms)
+        terms.sum(axis=1, out=out[c0:c0 + _BLOCK_ROWS])
+    return out
 
 
 def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]:
@@ -125,10 +112,11 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
     is read as row j.
 
     Lazy (Minoux) evaluation, exact to the bit. Rounds 0 and 1 evaluate every
-    column. From round 1 on, coverage only grows, so each term max(c - cov, 0)
-    only shrinks; rounded arithmetic is monotone, so with the same sequential
-    sum a gain from an earlier round bounds today's from above. Round 0's plain
-    sum is no such bound when cosines are negative. Each later round
+    unselected column. From round 1 on, coverage only grows, so each term max(c - cov, 0)
+    only shrinks; rounded arithmetic is monotone, so with the same summation
+    order per column (numpy's pairwise sum of the row of terms, fixed by n) a
+    gain from an earlier round bounds today's from above. Round 0's plain
+    column sum is no such bound when cosines are negative. Each later round
     re-evaluates the top stale entries until the argmax of the bounds (the
     smallest index among equals) is fresh; that entry is the round's exact
     argmax. No (n, n) temporary is formed.
@@ -136,20 +124,15 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
     n = cos_sim.shape[0]
     members = np.empty(budget, dtype=np.int64)
     gains = np.empty(budget, dtype=np.float64)
-    bound = np.empty(n, dtype=np.float64)   # blended gain as of round fresh[j]
+    # blended gain as of round fresh[j]; round 0's is the plain column sum
+    bound = lam * cos_sim.sum(axis=0) + (1.0 - lam) * warped
     fresh = np.zeros(n, dtype=np.int64)     # selected entries: budget, never stale
     cov = np.zeros(n, dtype=np.float64)
     for r in range(budget):
-        if r == 0:
-            bound[:] = lam * cos_sim.sum(axis=0) + (1.0 - lam) * warped
-        elif r == 1:
-            bound[:] = lam * _full_coverage_gains(cos_sim, cov) + (1.0 - lam) * warped
-            bound[members[0]] = -np.inf
-            fresh[fresh < 1] = 1
         best = int(np.argmax(bound))  # first max -> smallest index on ties
         while fresh[best] < r:
             stale = np.flatnonzero(fresh < r)
-            if stale.size > _BATCH:
+            if r > 1 and stale.size > _BATCH:  # round 0 bounds nothing: round 1 takes all
                 stale = stale[np.argpartition(bound[stale], -_BATCH)[-_BATCH:]]
             bound[stale] = lam * _coverage_gains(cos_sim, cov, stale) + (1.0 - lam) * warped[stale]
             fresh[stale] = r

@@ -107,6 +107,28 @@ def audit_graph(g, emb: EmbeddingTable) -> None:
             assert g.mutual[i, c] == (i in g.knn_ids[j]), f"mutual mask wrong at ({i}, {c})"
 
 
+def discrepancy_reference(ledger, sample_set, t_c_window, lambda_c: float,
+                          current_step: int) -> float:
+    """``discrepancy_check`` as a scalar loop over probe samples x window steps."""
+    ids = sorted(int(i) for i in sample_set)
+    window = sorted(int(t) for t in t_c_window)
+    if not window:
+        return 0.0
+    total = 0.0
+    for i in ids:
+        now = ledger.score_at(i, current_step)
+        num = 0.0
+        den = 0.0
+        for t_k in window:
+            w = lambda_c ** (t_k - current_step)
+            num += w * abs(ledger.score_at(i, t_k) - now)
+            den += w * now
+        if den == 0.0:
+            return math.inf
+        total += num / den
+    return total / len(ids)
+
+
 def representation_reference(core, pool, emb: EmbeddingTable) -> float:
     """Direct double loop over pool x core with per-pair cosines."""
     if not core:
@@ -128,6 +150,8 @@ def greedy_reference(cos_sim, warped, lam: float, budget: int):
 
     Returns (members, gains) as lists, in insertion order; ties break toward
     the smaller index, and round 0's coverage term is the plain column sum.
+    From round 1 on, column j's gain is the pairwise sum of row j of the
+    terms, which needs an exactly symmetric ``cos_sim``.
     """
     n = cos_sim.shape[0]
     members, gains = [], []
@@ -137,7 +161,7 @@ def greedy_reference(cos_sim, warped, lam: float, budget: int):
         if r == 0:
             rep_gain = cos_sim.sum(axis=0)
         else:
-            rep_gain = np.maximum(cos_sim - cov[:, None], 0.0).sum(axis=0)
+            rep_gain = np.maximum(cos_sim - cov, 0.0).sum(axis=1)
         total = lam * rep_gain + (1.0 - lam) * warped
         total[selected] = -np.inf
         best = int(np.argmax(total))

@@ -5,9 +5,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import audit_graph
+from conftest import audit_graph, discrepancy_reference
 from coresel.dynamics import (
     affinity,
     check_and_update,
@@ -76,6 +78,44 @@ def test_discrepancy_matches_double_loop_reference(rng):
         expected += num / den
     expected /= n
     assert got == pytest.approx(expected, abs=1e-12)
+
+
+def _outcome(fn, *args):
+    """A float's bits, or the DomainError message it raised."""
+    try:
+        return ("value", np.float64(fn(*args)).view(np.int64))
+    except DomainError as exc:
+        return ("raised", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 24), slots=st.integers(1, 6),
+       gappy_share=st.sampled_from([0.0, 0.15, 0.4]), zero_share=st.sampled_from([0.0, 0.15, 0.4]),
+       lam=st.sampled_from([0.5, 0.9, 0.99]))
+def test_discrepancy_equals_scalar_loop_bitwise(seed, n, slots, gappy_share, zero_share, lam):
+    # Same value to the bit, and the same DomainError (sample, step) or +inf,
+    # whichever the scalar loop meets first. Gappy samples skip half their
+    # steps and zero samples have a zero current score; probes repeat ids and
+    # reach past 8 samples, where a pairwise sum of the ratios would differ.
+    gen = np.random.default_rng(seed)
+    current = int(gen.integers(0, 8))
+    ledger = ScoreLedger(n, window=slots)
+    u = gen.uniform(size=n)
+    gappy = u < gappy_share
+    zero = (u >= gappy_share) & (u < gappy_share + zero_share)
+    for step in range(current + 1):
+        ids = np.flatnonzero(~gappy | (gen.uniform(size=n) < 0.5))
+        vals = gen.uniform(0.1, 3.0, size=ids.size)
+        if step == current:
+            vals[zero[ids]] = 0.0
+        ledger.record(ids, step, vals)
+    probe = gen.integers(n, size=int(gen.integers(1, 2 * n + 1))).tolist()
+    window = gen.integers(max(current - slots + 1, 0), current + 1,
+                          size=int(gen.integers(0, 5))).tolist()
+    if gen.uniform() < 0.2:  # a step that may be evicted, unrecorded or negative
+        window.append(int(gen.integers(-1, current + 1)))
+    got = _outcome(discrepancy_check, ledger, probe, window, lam, current)
+    assert got == _outcome(discrepancy_reference, ledger, probe, window, lam, current)
 
 
 def test_discrepancy_degenerate_denominator_is_inf():

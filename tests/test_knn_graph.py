@@ -442,6 +442,33 @@ def test_repair_sequences_equal_rebuild_exactly(seed, n, d, k_frac, duplicates, 
     assert np.array_equal(g.weights, rebuilt.weights)
 
 
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), d=st.integers(1, 3),
+       k_frac=st.floats(0.0, 1.0), duplicates=st.integers(0, 6))
+def test_no_padding_in_directed_lists_or_mutual_slots(seed, n, d, k_frac, duplicates):
+    # repair and qualifying_anchor_sets index (n,) masks with these ids, so the
+    # -1 padding of an edge-list graph must stay out of both; k runs up to n - 1,
+    # and the changed ids come with repeats, in any order
+    gen = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 2))
+    rows = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+    for _ in range(duplicates):
+        rows[gen.integers(n)] = rows[gen.integers(n)]
+    emb = EmbeddingTable(rows)
+    g = build_graph(emb, k=k)
+    assert (g.knn_ids >= 0).all()
+    changed = gen.integers(n, size=int(gen.integers(1, 2 * n + 1)))
+    emb.rows[changed] += gen.normal(size=(changed.size, d))
+    repaired = repair_graph(g, None, emb, changed.tolist())
+    assert (repaired.knn_ids >= 0).all()
+    assert np.array_equal(repaired.knn_ids, repair_graph(g, None, emb, sorted(set(changed.tolist()))).knn_ids)
+    buf = io.StringIO()
+    dump_graph(repaired, buf)
+    loaded = load_graph(io.StringIO(buf.getvalue()))
+    assert (loaded.knn_ids[loaded.mutual] >= 0).all()
+    assert (loaded.knn_ids[~loaded.mutual] == -1).all()
+
+
 @settings(max_examples=80, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(4, 80), d=st.integers(1, 8),
        k_frac=st.floats(0.0, 1.0), data=st.sampled_from(["normal", "grid", "offset"]),

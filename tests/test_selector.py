@@ -16,6 +16,7 @@ import coresel
 from conftest import greedy_reference, positive_table, representation_reference
 from coresel.errors import DomainError, ResourceError
 from coresel.selector import (
+    _coverage_gains,
     _unit_rows,
     brute_force_coreset,
     coreset_objective,
@@ -233,6 +234,29 @@ def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, duplicates, lam, 
     assert np.array_equal(gains.view(np.int64), np.array(ref_gains).view(np.int64))
 
 
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
+       order=st.sampled_from(["subset", "reversed", "duplicated"]))
+def test_coverage_gain_bits_do_not_depend_on_the_columns_evaluated(seed, n, order):
+    # The lazy bounds hold to the bit only if a column's gain has one summation
+    # order, whatever other columns share the call or its chunks; n up to 400
+    # spans numpy's 8-wide and 128-element pairwise blocks and several chunks.
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, int(gen.integers(2, 8))))
+    unit = x / np.linalg.norm(x, axis=1, keepdims=True)
+    cos = unit @ unit.T
+    cov = cos[gen.integers(n, size=int(gen.integers(1, 4)))].max(axis=0)
+    full = _coverage_gains(cos, cov, np.arange(n))
+    if order == "subset":
+        cols = np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
+    elif order == "reversed":
+        cols = np.arange(n)[::-1]
+    else:
+        cols = gen.integers(n, size=int(gen.integers(1, 2 * n + 1)))
+    got = _coverage_gains(cos, cov, cols)
+    assert np.array_equal(got.view(np.int64), full[cols].view(np.int64))
+
+
 @pytest.mark.parametrize("n, d", [(256, 5), (768, 5), (3000, 5), (300, 64)])
 def test_cosine_matrix_is_exactly_symmetric(n, d):
     # greedy_select reads column j as row j, which holds only for an exactly
@@ -255,20 +279,32 @@ def test_greedy_never_forms_second_dense_matrix():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 16 * 2**20
+    # the gain kernel turns each gathered (64, n) chunk into terms in place; a
+    # second temporary per chunk would peak at about 4.6 MB
+    assert peak < 4 * 2**20
 
 
 def test_selection_does_not_import_numpy_ma():
-    # np.unique imports numpy.ma (about 1.7 MB) on first use; selection avoids it
+    # np.unique and np.isin import numpy.ma (about 1.7 MB) on first use; neither
+    # selection nor an adaptive run whose checks trigger and repair calls them
     code = (
         "import sys\n"
         "import numpy as np\n"
+        "from coresel.orchestrator import run_adaptive\n"
         "from coresel.selector import select_coreset\n"
-        "from coresel.store import EmbeddingTable\n"
+        "from coresel.simulator import SimState\n"
+        "from coresel.store import EmbeddingTable, SelectionConfig\n"
         "gen = np.random.default_rng(0)\n"
         "emb = EmbeddingTable(gen.normal(size=(40, 4)))\n"
         "select_coreset(range(40), 5, emb, gen.uniform(size=40), 0.5)\n"
-        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported'\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by selection'\n"
+        "cfg = SelectionConfig(budget_b=24, n_s=96, budget_eta=0.1, t_c=15, k=6, k_recal=12,\n"
+        "                      n_s_check=12, delta=0.0, delta_h=0.0, seed=5)\n"
+        "sim = SimState.create(seed=5, n=300, dim=6, classes=4, cluster_spread=1.0,\n"
+        "                      learning_rate=0.2, drift=0.02)\n"
+        "report = run_adaptive(cfg, sim, 75, 15)\n"
+        "assert any(p.graph_repaired and p.anchor_sets for p in report.plans), 'no repair'\n"
+        "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by the adaptive loop'\n"
     )
     src = str(Path(coresel.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": src}
