@@ -27,7 +27,6 @@ from .knn_graph import (
     build_graph,
     build_lsh_index,
     dump_graph,
-    edge_weight,
     load_graph,
     repair_graph,
 )
@@ -35,9 +34,7 @@ from .orchestrator import RunReport, run, run_adaptive, run_baseline
 from .scoring import (
     WarpParams,
     derive_warp_params,
-    el2n_score,
     selection_scores,
-    warp_importance,
     warp_mode,
     warped_scores,
 )

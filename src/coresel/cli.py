@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ConfigError, CoreselError, DataError
 from .knn_graph import build_graph, dump_graph
-from .orchestrator import STRATEGIES, loss_rows, run
+from .orchestrator import STRATEGIES, default_warmup, loss_rows, run
 from .scoring import selection_scores
 from .selector import select_coreset
 from .simulator import SimState
@@ -174,7 +174,7 @@ def cmd_simulate(args) -> int:
 def cmd_check(args) -> int:
     cfg, _, total_steps, warmup_steps, sim_block = load_run_config(args.config)
     if warmup_steps is None:
-        warmup_steps = int(round(0.1 * total_steps))
+        warmup_steps = default_warmup(total_steps)
     sim = _build_sim(cfg, sim_block)
     report = run("adaptive", cfg, sim, warmup_steps + cfg.t_c, warmup_steps)
     events = report.update_events()

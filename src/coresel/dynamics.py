@@ -157,29 +157,35 @@ def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
     return out
 
 
-def _qualified_pairs(g: MutualKnnGraph, ledger: ScoreLedger, anchors, beta_aff: float):
-    """The (node, anchor) pairs of ``qualifying_anchor_sets`` as arrays, in its order.
+def _qualified_pairs(g: MutualKnnGraph, anchor_sets: dict, new_values: dict):
+    """The (node, anchor) pairs of ``anchor_sets`` as arrays, in its order.
 
     Returns the qualifying nodes; per pair, the node's index into them, the
-    anchor and the edge weight; and each node's total weight.
+    anchor and the edge weight; and each node's total weight. Raises
+    DomainError when a set names an anchor without an entry in ``new_values``,
+    or belongs to an anchor, whose new value must stay verbatim.
     """
-    quals = qualifying_anchor_sets(g, ledger, anchors, beta_aff)
-    nodes = np.fromiter(quals, dtype=np.int64, count=len(quals))
-    pos = np.repeat(np.arange(len(nodes)), [len(q) for q in quals.values()])
-    owners = np.array([j for q in quals.values() for j in q], dtype=np.int64)
+    nodes = np.fromiter(anchor_sets, dtype=np.int64, count=len(anchor_sets))
+    pos = np.repeat(np.arange(len(nodes)), [len(q) for q in anchor_sets.values()])
+    owners = np.array([j for q in anchor_sets.values() for j in q], dtype=np.int64)
+    unknown = [j for j in owners.tolist() if j not in new_values]
+    if unknown:
+        raise DomainError(f"anchor set names {unknown[0]}, which has no new value")
+    if any(i in new_values for i in anchor_sets):
+        raise DomainError("anchor sets must belong to non-anchors only")
     w = g.weight(nodes[pos], owners)
     return nodes, pos, owners, w, np.bincount(pos, weights=w, minlength=len(nodes))
 
 
 def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new: dict,
-                     beta_aff: float) -> dict[int, float]:
+                     anchor_sets: dict) -> dict[int, float]:
     """Closed-form propagation of recomputed scores to qualified neighbors.
 
     Anchors keep their recomputed values verbatim. Every non-anchor with a
-    nonempty qualified set N* moves to 1/2 * old + 1/2 * sum of normalized-
-    weight averages of the anchors' new scores, the minimizer of
-    1/2 (x - old)^2 + 1/2 * sum_j alpha_j (x - new_j)^2. Affinity gating uses
-    the ledger as it stands (pre-update scores). Nothing else changes.
+    nonempty qualified set N* in ``anchor_sets`` (as ``qualifying_anchor_sets``
+    returns them) moves to 1/2 * old + 1/2 * sum of normalized-weight averages
+    of the anchors' new scores, the minimizer of
+    1/2 (x - old)^2 + 1/2 * sum_j alpha_j (x - new_j)^2. Nothing else changes.
     """
     for a, v in recal_new.items():
         if not 0 <= int(a) < g.n:
@@ -187,7 +193,7 @@ def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new: dict,
         if not math.isfinite(v) or v < 0.0:
             raise DomainError(f"anchor score for {a} must be finite and >= 0, got {v!r}")
     out = {int(a): float(v) for a, v in recal_new.items()}
-    nodes, pos, owners, w, w_sum = _qualified_pairs(g, ledger, recal_new, beta_aff)
+    nodes, pos, owners, w, w_sum = _qualified_pairs(g, anchor_sets, out)
     new = np.array([out[j] for j in owners.tolist()], dtype=np.float64)
     blended = np.bincount(pos, weights=w / w_sum[pos] * new, minlength=len(nodes))
     out.update(zip(nodes.tolist(), (0.5 * ledger.current[nodes] + 0.5 * blended).tolist()))
@@ -210,16 +216,16 @@ def embedding_shift(old_rows: dict, new_rows: dict) -> float:
     return total / len(old_rows)
 
 
-def propagate_embeddings(g: MutualKnnGraph, ledger: ScoreLedger, emb: EmbeddingTable,
-                         recal_new_rows: dict, beta_aff: float) -> dict[int, np.ndarray]:
+def propagate_embeddings(g: MutualKnnGraph, emb: EmbeddingTable, recal_new_rows: dict,
+                         anchor_sets: dict) -> dict[int, np.ndarray]:
     """Blend qualified neighbors halfway toward the weighted anchor average.
 
     Returns only the rows that change: anchors verbatim plus each non-anchor
-    with a nonempty qualified set. Affinity gating and edge weights are read
-    from the current graph and ledger (pre-update state).
+    with a nonempty qualified set in ``anchor_sets``. Edge weights are read
+    from the current graph.
     """
     out = {int(a): np.asarray(r, dtype=np.float64).copy() for a, r in recal_new_rows.items()}
-    nodes, pos, owners, w, w_sum = _qualified_pairs(g, ledger, recal_new_rows, beta_aff)
+    nodes, pos, owners, w, w_sum = _qualified_pairs(g, anchor_sets, out)
     acc = np.zeros((len(nodes), emb.d), dtype=np.float64)
     np.add.at(acc, pos, w[:, None] * np.array([out[j] for j in owners.tolist()]).reshape(-1, emb.d))
     out.update(zip(nodes.tolist(), 0.5 * emb.rows[nodes] + 0.5 * (acc / w_sum[:, None])))
@@ -276,7 +282,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         recal_row_map = {i: new_rows[pos] for pos, i in enumerate(recal)}
 
         plan.anchor_sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
-        score_map = propagate_scores(g, ledger, recal_score_map, cfg.beta_aff)
+        score_map = propagate_scores(g, ledger, recal_score_map, plan.anchor_sets)
         plan.recal_scores = recal_score_map
         plan.propagated_scores = {i: v for i, v in score_map.items() if i not in recal_score_map}
         plan.old_scores = {i: float(ledger.current[i]) for i in score_map}
@@ -287,7 +293,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         emb_map: dict[int, np.ndarray] = {}
         if plan.delta_H > cfg.delta_h:
             require_directed_lists(g)
-            emb_map = propagate_embeddings(g, ledger, emb, recal_row_map, cfg.beta_aff)
+            emb_map = propagate_embeddings(g, emb, recal_row_map, plan.anchor_sets)
             plan.propagated_embeddings = tuple(sorted(set(emb_map) - set(recal)))
 
         # Apply: scores first (anchors advance t_history, propagated nodes do not).

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .store import EmbeddingTable
+from .store import EmbeddingTable, opened
 
 WEIGHT_SCALE = 100.0
 
@@ -68,16 +68,6 @@ _ETA = 2.0 ** -1074
 
 def _weight(d2):
     return np.exp(-d2 / WEIGHT_SCALE)
-
-
-def edge_weight(h_i, h_j) -> float:
-    """exp(-squared distance / 100); 1.0 exactly for coincident embeddings."""
-    h_i = np.asarray(h_i, dtype=np.float64)
-    h_j = np.asarray(h_j, dtype=np.float64)
-    if h_i.shape != h_j.shape or h_i.ndim != 1:
-        raise DomainError(f"edge_weight needs two equal-length vectors, got {h_i.shape} and {h_j.shape}")
-    diff = h_i - h_j
-    return float(_weight(diff @ diff))
 
 
 @dataclass(eq=False)
@@ -140,9 +130,6 @@ class MutualKnnGraph:
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.mutual[i] & (self.knn_ids[i] == j)).any())
-
-    def degree(self, i: int) -> int:
-        return int(self.mutual[i].sum())
 
     def edge_count(self) -> int:
         return int(self.mutual.sum()) // 2
@@ -386,31 +373,23 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
 
 def dump_graph(g: MutualKnnGraph, target) -> None:
     """One JSON line per node: {"id": i, "k": k, "nbrs": [...], "w": [...]}, ids ascending."""
-    def emit(fh):
+    with opened(target, "w") as fh:
         for i in range(g.n):
             nbrs, w = g.knn_ids[i][g.mutual[i]], g.weights[i][g.mutual[i]]
             order = np.argsort(nbrs)
             line = {"id": i, "k": g.k, "nbrs": nbrs[order].tolist(), "w": w[order].tolist()}
             fh.write(json.dumps(line) + "\n")
 
-    if hasattr(target, "write"):
-        emit(target)
-        return
-    with open(target, "w", encoding="utf-8") as fh:
-        emit(fh)
-
 
 def load_graph(source) -> MutualKnnGraph:
     """Rebuild a graph from its JSONL dump; the directed lists are not stored.
 
     Raises FormatError unless the records run 0..n-1 in order, share one
-    ``k``, and list every edge from both ends with the same weight.
+    ``k``, list every edge from both ends with the same weight, and give
+    weights that ``dump_graph`` can write: finite numbers in [0, 1].
     """
-    if hasattr(source, "read"):
-        lines = source.readlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+    with opened(source, "r") as fh:
+        lines = fh.readlines()
     try:
         records = [json.loads(line) for line in lines if line.strip()]
     except json.JSONDecodeError as exc:
@@ -430,6 +409,9 @@ def load_graph(source) -> MutualKnnGraph:
         for j, w_ij in zip(nbrs, w):
             if type(j) is not int or (i, j) in directed or type(w_ij) not in (int, float):
                 raise FormatError(f"graph dump record {i} has a repeated or malformed neighbor {j!r}")
+            if not 0.0 <= w_ij <= 1.0:  # NaN fails too
+                raise FormatError(f"graph dump record {i} gives neighbor {j} the weight {w_ij!r}; "
+                                  f"weights are finite numbers in [0, 1]")
             directed[(i, j)] = float(w_ij)
     if len(ks) != 1:
         raise FormatError(f"graph dump lines disagree on k: {sorted(ks)}" if ks else "graph dump is empty")

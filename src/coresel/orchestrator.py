@@ -87,9 +87,6 @@ class RunReport:
             for rec in self.intervals
         ]
 
-    def loss_rows(self) -> list[tuple[int, float]]:
-        return loss_rows(self.to_dict())
-
 
 def loss_rows(report: dict) -> list[tuple[int, float]]:
     """(step, loss) for every train step of a report document, warm-up first."""
@@ -100,6 +97,11 @@ def loss_rows(report: dict) -> list[tuple[int, float]]:
     return rows
 
 
+def default_warmup(total_steps: int) -> int:
+    """Warm-up steps of a run that sets none: 10% of ``total_steps``, rounded."""
+    return int(round(0.1 * total_steps))
+
+
 def _resolve_steps(cfg: SelectionConfig, provider, total_steps: int,
                    warmup_steps: int | None) -> int:
     cfg.validate()
@@ -107,7 +109,7 @@ def _resolve_steps(cfg: SelectionConfig, provider, total_steps: int,
     if total_steps < cfg.t_c:
         raise ConfigError(f"total_steps ({total_steps}) must be >= t_c ({cfg.t_c})")
     if warmup_steps is None:
-        warmup_steps = int(round(0.1 * total_steps))
+        warmup_steps = default_warmup(total_steps)
     if warmup_steps < 0:
         raise ConfigError(f"warmup_steps must be >= 0, got {warmup_steps}")
     if warmup_steps >= total_steps:

@@ -16,29 +16,12 @@ import numpy as np
 from .errors import ConfigError, DomainError
 from .store import CLAMP_EPS, ScoreLedger, clamp_unit, min_max_normalize
 
-_SIMPLEX_TOL = 1e-6
-
 
 @dataclass(frozen=True)
 class WarpParams:
     alpha: float
     beta: float
     gamma_temp: float
-
-
-def el2n_score(probs, onehot) -> float:
-    """Frobenius norm of (probs - onehot) over one or more probability rows."""
-    probs = np.atleast_2d(np.asarray(probs, dtype=np.float64))
-    onehot = np.atleast_2d(np.asarray(onehot, dtype=np.float64))
-    if probs.shape != onehot.shape:
-        raise DomainError(f"probs shape {probs.shape} != onehot shape {onehot.shape}")
-    row_sums = probs.sum(axis=1)
-    if np.any(np.abs(row_sums - 1.0) > _SIMPLEX_TOL) or np.any(probs < 0.0):
-        raise DomainError("probs rows must lie on the probability simplex")
-    ones_per_row = (onehot == 1.0).sum(axis=1)
-    if np.any(ones_per_row != 1) or not np.all((onehot == 0.0) | (onehot == 1.0)):
-        raise DomainError("onehot rows must contain exactly one 1 and zeros elsewhere")
-    return float(np.linalg.norm(probs - onehot))
 
 
 def el2n_from_probs(probs: np.ndarray, labels: np.ndarray) -> np.ndarray:
@@ -66,37 +49,14 @@ def derive_warp_params(normalized_scores, eta: float, cfg) -> WarpParams:
 
 
 def _log_beta_pdf(x: float, a: float, b: float) -> float:
+    """Log Beta(a, b) pdf at an interior x; every caller clamps x into (0, 1)."""
     const = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    if x == 0.0:
-        if a == 1.0:
-            return const
-        return math.inf if a < 1.0 else -math.inf
-    if x == 1.0:
-        if b == 1.0:
-            return const
-        return math.inf if b < 1.0 else -math.inf
     return const + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x)
 
 
-def warp_importance(x: float, params: WarpParams) -> float:
-    """(Beta pdf at x) ** gamma, evaluated through log-gamma for stability."""
-    if not 0.0 <= x <= 1.0:
-        raise DomainError(f"warp input must lie in [0, 1], got {x}")
-    if params.gamma_temp == 0.0:
-        return 1.0
-    log_pdf = _log_beta_pdf(float(x), params.alpha, params.beta)
-    value = params.gamma_temp * log_pdf
-    if value == math.inf:
-        return math.inf
-    try:
-        return math.exp(value)
-    except OverflowError:
-        return math.inf
-
-
-def warp_mode(params: WarpParams, eps: float = CLAMP_EPS) -> float:
-    """Argmax of the warped score over the clamped interval [eps, 1 - eps]."""
-    a, b = params.alpha, params.beta
+def warp_mode(params: WarpParams) -> float:
+    """Argmax of the warped score over the clamped interval [CLAMP_EPS, 1 - CLAMP_EPS]."""
+    a, b, eps = params.alpha, params.beta, CLAMP_EPS
     if a > 1.0 and b > 1.0:
         return min(max((a - 1.0) / (a + b - 2.0), eps), 1.0 - eps)
     if a <= 1.0 and b <= 1.0:
@@ -106,21 +66,20 @@ def warp_mode(params: WarpParams, eps: float = CLAMP_EPS) -> float:
     return eps if a <= 1.0 else 1.0 - eps
 
 
-def warped_scores(normalized, params: WarpParams, normalize: bool = True,
-                  eps: float = CLAMP_EPS) -> np.ndarray:
+def warped_scores(normalized, params: WarpParams, normalize: bool = True) -> np.ndarray:
     """Warp a vector of normalized scores, clamping inputs away from {0, 1}.
 
     With ``normalize`` the result is divided by the warped value at the mode,
     so it lies in [0, 1] on the same scale as cosine coverage.
     """
-    x = clamp_unit(normalized, eps)
+    x = clamp_unit(normalized)
     a, b, g = params.alpha, params.beta, params.gamma_temp
     if g == 0.0:
         return np.ones_like(x)
     const = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
     log_pdf = const + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
     if normalize:
-        log_pdf = log_pdf - _log_beta_pdf(warp_mode(params, eps), a, b)
+        log_pdf = log_pdf - _log_beta_pdf(warp_mode(params), a, b)
     return np.exp(g * log_pdf)
 
 

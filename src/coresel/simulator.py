@@ -80,10 +80,6 @@ class SimState:
         return self.data.shape[0]
 
     @property
-    def dim(self) -> int:
-        return self.data.shape[1]
-
-    @property
     def classes(self) -> int:
         return self.weights.shape[0]
 

@@ -11,9 +11,9 @@ u32, then n*d little-endian float32 values in row-major order. Score stream
 
 from __future__ import annotations
 
-import io
 import json
 import struct
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -28,6 +28,10 @@ EMBEDDING_VERSION = 1
 CLAMP_EPS = 1e-6
 
 _HEADER = struct.Struct("<4sIQI")
+
+# The payload is read this many bytes at a time, so a header that declares
+# more than the file holds costs one chunk, not the declared size.
+_READ_CHUNK = 1 << 16
 
 
 class EmbeddingTable:
@@ -57,48 +61,47 @@ class EmbeddingTable:
         return isinstance(other, EmbeddingTable) and np.array_equal(self.rows, other.rows)
 
 
+@contextmanager
+def opened(file, mode: str):
+    """Yield ``file`` itself if it is a file object, which stays open; else open the
+    path in ``mode``, as UTF-8 in a text mode, and close it on exit."""
+    if hasattr(file, "read" if "r" in mode else "write"):
+        yield file
+        return
+    with open(file, mode, encoding=None if "b" in mode else "utf-8") as fh:
+        yield fh
+
+
 def ingest_embeddings(source) -> EmbeddingTable:
     """Read an embedding file (path or binary file object) into a table."""
-    if hasattr(source, "read"):
-        return _read_embeddings(source)
-    with open(source, "rb") as fh:
-        return _read_embeddings(fh)
-
-
-def _read_embeddings(fh) -> EmbeddingTable:
-    header = fh.read(_HEADER.size)
-    if len(header) != _HEADER.size:
-        raise FormatError("embedding file truncated before header end")
-    magic, version, n, d = _HEADER.unpack(header)
-    if magic != EMBEDDING_MAGIC:
-        raise FormatError(f"bad magic bytes {magic!r}, expected {EMBEDDING_MAGIC!r}")
-    if version != EMBEDDING_VERSION:
-        raise FormatError(f"unsupported embedding format version {version}")
-    if n < 1 or d < 1:
-        raise FormatError(f"embedding header declares n={n}, d={d}; both must be >= 1")
-    payload = fh.read(4 * n * d)
-    if len(payload) != 4 * n * d:
-        raise FormatError(f"embedding payload truncated: expected {4 * n * d} bytes, got {len(payload)}")
+    with opened(source, "rb") as fh:
+        header = fh.read(_HEADER.size)
+        if len(header) != _HEADER.size:
+            raise FormatError("embedding file truncated before header end")
+        magic, version, n, d = _HEADER.unpack(header)
+        if magic != EMBEDDING_MAGIC:
+            raise FormatError(f"bad magic bytes {magic!r}, expected {EMBEDDING_MAGIC!r}")
+        if version != EMBEDDING_VERSION:
+            raise FormatError(f"unsupported embedding format version {version}")
+        if n < 1 or d < 1:
+            raise FormatError(f"embedding header declares n={n}, d={d}; both must be >= 1")
+        size = 4 * n * d
+        payload = bytearray()
+        while len(payload) < size and (chunk := fh.read(min(size - len(payload), _READ_CHUNK))):
+            payload += chunk
+    if len(payload) != size:
+        raise FormatError(f"embedding payload truncated: header declares n={n}, d={d} "
+                          f"({size} bytes), the file holds {len(payload)}")
     return EmbeddingTable(np.frombuffer(payload, dtype="<f4").reshape(n, d))
 
 
 def write_embeddings(table: EmbeddingTable, target) -> None:
     """Serialize a table in the binary embedding format (float32 payload)."""
-    payload = np.ascontiguousarray(table.rows, dtype="<f4").tobytes()
     header = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, table.n, table.d)
-    if hasattr(target, "write"):
-        target.write(header)
-        target.write(payload)
-        return
-    with open(target, "wb") as fh:
+    payload = np.ascontiguousarray(table.rows, dtype="<f4").tobytes()
+    with opened(target, "wb") as fh:
         fh.write(header)
         fh.write(payload)
-
-
-def embeddings_bytes(table: EmbeddingTable) -> bytes:
-    buf = io.BytesIO()
-    write_embeddings(table, buf)
-    return buf.getvalue()
 
 
 class ScoreLedger:
@@ -182,10 +185,6 @@ class ScoreLedger:
     def steps_for(self, sample_id: int) -> tuple[int, ...]:
         return tuple(step for step, _ in self.history(sample_id))
 
-    def last_step(self, sample_id: int) -> int | None:
-        last = int(self.steps[sample_id, -1])
-        return None if last < 0 else last
-
     def history(self, sample_id: int) -> list[tuple[int, float]]:
         filled = self.steps[sample_id] >= 0
         return list(zip(self.steps[sample_id][filled].tolist(),
@@ -210,9 +209,9 @@ def min_max_normalize(ledger: ScoreLedger) -> np.ndarray:
     return (scores - lo) / (hi - lo)
 
 
-def clamp_unit(values, eps: float = CLAMP_EPS) -> np.ndarray:
+def clamp_unit(values) -> np.ndarray:
     """Clamp normalized scores away from the Beta pdf singularities at 0 and 1."""
-    return np.clip(np.asarray(values, dtype=np.float64), eps, 1.0 - eps)
+    return np.clip(np.asarray(values, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
 def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
@@ -221,11 +220,8 @@ def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
     The whole stream is parsed first; then one ``record`` call enters the
     k-th entry of every sample, with the checks of a line-by-line replay.
     """
-    if hasattr(source, "read"):
-        lines = source.readlines()
-    else:
-        with open(source, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
+    with opened(source, "r") as fh:
+        lines = fh.readlines()
     entries = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
@@ -248,17 +244,11 @@ def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
 
 def write_score_stream(ledger: ScoreLedger, target) -> None:
     """Dump every ledger history entry as one JSON object per line."""
-    def emit(fh):
+    with opened(target, "w") as fh:
         for i, (steps, scores) in enumerate(zip(ledger.steps.tolist(), ledger.scores.tolist())):
             for step, score in zip(steps, scores):
                 if step >= 0:
                     fh.write(json.dumps({"id": i, "step": step, "score": score}) + "\n")
-
-    if hasattr(target, "write"):
-        emit(target)
-        return
-    with open(target, "w", encoding="utf-8") as fh:
-        emit(fh)
 
 
 @dataclass(frozen=True)

@@ -18,6 +18,14 @@ def positive_table(rng: np.random.Generator, n: int, d: int) -> EmbeddingTable:
     return EmbeddingTable(rng.uniform(0.05, 1.0, size=(n, d)))
 
 
+def warp_reference(x: float, params) -> float:
+    """Scalar (Beta(alpha, beta) pdf at an interior x) ** gamma_temp, through log-gamma."""
+    a, b = params.alpha, params.beta
+    log_pdf = (math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+               + (a - 1.0) * math.log(x) + (b - 1.0) * math.log1p(-x))
+    return math.exp(params.gamma_temp * log_pdf)
+
+
 def mutual_knn_oracle(rows: np.ndarray, k: int):
     """O(n^2) reference: per-node (distance, id)-ordered lists and mutual edges."""
     n = rows.shape[0]

@@ -122,8 +122,9 @@ def test_criterion_03_propagation_closed_form():
         g = MutualKnnGraph.from_edges(deg + 1, deg,
                                       {(0, j + 1): float(weights[j]) for j in range(deg)})
         ledger = ScoreLedger.from_scores(np.concatenate([[old], news]), step=0)
-        out = propagate_scores(g, ledger, {j + 1: float(news[j]) for j in range(deg)},
-                               beta_aff=0.0)
+        recal_new = {j + 1: float(news[j]) for j in range(deg)}
+        out = propagate_scores(g, ledger, recal_new,
+                               qualifying_anchor_sets(g, ledger, recal_new, beta_aff=0.0))
         alphas = weights / weights.sum()
         x_star = numeric_minimize(
             lambda x: 0.5 * (x - old) ** 2 + 0.5 * float(np.sum(alphas * (x - news) ** 2)),
@@ -174,7 +175,7 @@ def test_criterion_05_error_contraction_on_lipschitz_instances():
         anchors = sorted(int(i) for i in rng.choice(n, size=12, replace=False))
         recal_new = {a: float(true_scores[a]) for a in anchors}
         qualified = qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.0)
-        out = propagate_scores(g, ledger, recal_new, beta_aff=0.0)
+        out = propagate_scores(g, ledger, recal_new, qualified)
         for i, new in out.items():
             if i in recal_new:
                 continue

@@ -2,13 +2,15 @@
 
 import json
 import os
+import struct
 
 import numpy as np
 import pytest
 
 from coresel.cli import main
 from coresel.simulator import SimState
-from coresel.store import EmbeddingTable, write_embeddings
+from coresel.orchestrator import default_warmup
+from coresel.store import EMBEDDING_MAGIC, EmbeddingTable, write_embeddings
 
 
 @pytest.fixture
@@ -82,6 +84,16 @@ def test_build_graph_malformed_file(tmp_path, capsys):
     assert code == 3
 
 
+@pytest.mark.parametrize("n, d", [(2**64 - 1, 2**32 - 1), (2**22, 16)])
+def test_build_graph_payload_larger_than_file(tmp_path, capsys, n, d):
+    bad = tmp_path / "bad.bin"
+    bad.write_bytes(struct.pack("<4sIQI", EMBEDDING_MAGIC, 1, n, d) + b"\x00" * 64)
+    code = main(["build-graph", "--embeddings", str(bad), "--k", "5",
+                 "--out", str(tmp_path / "g.jsonl")])
+    assert code == 3
+    assert "truncated" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # select
 # ---------------------------------------------------------------------------
@@ -131,7 +143,7 @@ def test_simulate_writes_fixture_files(tmp_path):
     table = ingest_embeddings(emb_out)
     assert table.n == 80 and table.d == 4
     ledger = load_score_stream(score_out, 80)
-    assert all(ledger.last_step(i) == 30 for i in range(80))
+    assert (ledger.steps[:, -1] == 30).all()
 
 
 def test_simulate_deterministic(tmp_path):
@@ -222,6 +234,16 @@ def test_check_emits_single_event(tmp_path, capsys):
     assert set(event) == {"step", "delta_I", "triggered", "recal", "delta_H",
                           "graph_repaired"}
     assert event["step"] == 20  # warmup 10 + one interval of t_c=10
+
+
+def test_check_default_warmup_comes_from_orchestrator(tmp_path, capsys):
+    doc = json.loads(open(run_config(tmp_path)).read())
+    del doc["run"]["warmup_steps"]
+    cfg = tmp_path / "no_warmup.json"
+    cfg.write_text(json.dumps(doc))
+    assert main(["check", "--config", str(cfg)]) == 0
+    event = json.loads(capsys.readouterr().out)
+    assert event["step"] == default_warmup(40) + 10
 
 
 def test_report_renders_csv(tmp_path):

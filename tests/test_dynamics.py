@@ -289,24 +289,30 @@ def test_affinity_non_edge_is_error():
 # propagate_scores
 # ---------------------------------------------------------------------------
 
+def _propagate_scores(g, ledger, recal_new, beta_aff):
+    """propagate_scores over the anchor sets that qualify at ``beta_aff``."""
+    return propagate_scores(g, ledger, recal_new,
+                            qualifying_anchor_sets(g, ledger, recal_new, beta_aff))
+
+
 def test_propagation_skips_unqualified_nodes():
     g = graph_from_edges(3, {(0, 1): 0.5, (1, 2): 0.5})
     ledger = ledger_with([0.4, 0.2, 0.9])
-    out = propagate_scores(g, ledger, {0: 0.8}, beta_aff=0.9)  # threshold above any affinity
+    out = _propagate_scores(g, ledger, {0: 0.8}, 0.9)  # threshold above any affinity
     assert out == {0: 0.8}
 
 
 def test_propagation_single_anchor_half_blend():
     g = graph_from_edges(2, {(0, 1): 1.0})
     ledger = ledger_with([0.8, 0.4])
-    out = propagate_scores(g, ledger, {0: 0.8}, beta_aff=0.1)
+    out = _propagate_scores(g, ledger, {0: 0.8}, 0.1)
     assert out[1] == pytest.approx(0.6, abs=1e-12)  # 1/2 * 0.4 + 1/2 * 0.8
 
 
 def test_propagation_two_anchor_weighted_average():
     g = graph_from_edges(3, {(0, 2): 0.6, (1, 2): 0.2})
     ledger = ledger_with([1.0, 1.0, 0.4])
-    out = propagate_scores(g, ledger, {0: 1.0, 1: 0.5}, beta_aff=0.0)
+    out = _propagate_scores(g, ledger, {0: 1.0, 1: 0.5}, 0.0)
     expected = 0.5 * 0.4 + 0.5 * (0.75 * 1.0 + 0.25 * 0.5)
     assert out[2] == pytest.approx(expected, abs=1e-12)
 
@@ -316,7 +322,7 @@ def test_propagation_anchor_values_verbatim(rng):
     g = build_graph(emb, k=4)
     ledger = ScoreLedger.from_scores(rng.uniform(0.1, 1.0, size=25), step=0)
     anchors = {3: 0.123456, 9: 1.75, 17: 0.0}
-    out = propagate_scores(g, ledger, anchors, beta_aff=0.01)
+    out = _propagate_scores(g, ledger, anchors, 0.01)
     for a, v in anchors.items():
         assert out[a] == v
 
@@ -330,8 +336,7 @@ def test_propagation_closed_form_minimizes_quadratic(rng):
         edges = {(0, j + 1): float(weights[j]) for j in range(deg)}
         g = graph_from_edges(deg + 1, edges)
         ledger = ledger_with([old] + news.tolist())
-        out = propagate_scores(g, ledger, {j + 1: float(news[j]) for j in range(deg)},
-                               beta_aff=0.0)
+        out = _propagate_scores(g, ledger, {j + 1: float(news[j]) for j in range(deg)}, 0.0)
         alphas = weights / weights.sum()
 
         def objective(x):
@@ -352,7 +357,7 @@ def test_propagation_change_stability_bound(rng):
         ledger = ScoreLedger.from_scores(old_scores, step=0)
         anchors = {int(i): float(rng.uniform(0.0, 2.0))
                    for i in rng.choice(20, size=5, replace=False)}
-        out = propagate_scores(g, ledger, anchors, beta_aff=0.0)
+        out = _propagate_scores(g, ledger, anchors, 0.0)
         for i, new in out.items():
             if i in anchors:
                 continue
@@ -365,9 +370,21 @@ def test_propagation_rejects_bad_anchor():
     g = graph_from_edges(2, {(0, 1): 1.0})
     ledger = ledger_with([1.0, 1.0])
     with pytest.raises(DomainError):
-        propagate_scores(g, ledger, {5: 1.0}, beta_aff=0.0)
+        propagate_scores(g, ledger, {5: 1.0}, {})
     with pytest.raises(DomainError):
-        propagate_scores(g, ledger, {0: -1.0}, beta_aff=0.0)
+        propagate_scores(g, ledger, {0: -1.0}, {})
+
+
+def test_propagation_rejects_malformed_anchor_sets():
+    g = graph_from_edges(3, {(0, 1): 1.0, (1, 2): 1.0})
+    ledger = ledger_with([1.0, 1.0, 1.0])
+    sets = {1: (0, 2)}  # anchor 2 has no recomputed value
+    with pytest.raises(DomainError, match="2, which has no new value"):
+        propagate_scores(g, ledger, {0: 1.0}, sets)
+    with pytest.raises(DomainError, match="2, which has no new value"):
+        propagate_embeddings(g, EmbeddingTable(np.eye(3)), {0: np.ones(3)}, sets)
+    with pytest.raises(DomainError, match="non-anchors"):  # 1 is an anchor too
+        propagate_scores(g, ledger, {0: 1.0, 1: 0.5}, {1: (0,)})
 
 
 # ---------------------------------------------------------------------------
@@ -401,7 +418,8 @@ def test_embedding_propagation_absent_without_qualifiers():
     g = graph_from_edges(3, {(0, 1): 0.5, (1, 2): 0.5})
     ledger = ledger_with([1.0, 1.0, 1.0])
     emb = EmbeddingTable(np.eye(3))
-    out = propagate_embeddings(g, ledger, emb, {0: np.array([5.0, 0.0, 0.0])}, beta_aff=0.9)
+    new_rows = {0: np.array([5.0, 0.0, 0.0])}
+    out = propagate_embeddings(g, emb, new_rows, qualifying_anchor_sets(g, ledger, new_rows, 0.9))
     assert set(out) == {0}
 
 
@@ -409,7 +427,8 @@ def test_embedding_propagation_midpoint():
     g = graph_from_edges(2, {(0, 1): 1.0})
     ledger = ledger_with([1.0, 1.0])
     emb = EmbeddingTable([[0.0, 0.0], [4.0, 4.0]])
-    out = propagate_embeddings(g, ledger, emb, {0: np.array([2.0, 0.0])}, beta_aff=0.1)
+    new_rows = {0: np.array([2.0, 0.0])}
+    out = propagate_embeddings(g, emb, new_rows, qualifying_anchor_sets(g, ledger, new_rows, 0.1))
     assert np.allclose(out[1], 0.5 * np.array([4.0, 4.0]) + 0.5 * np.array([2.0, 0.0]))
 
 
@@ -420,7 +439,7 @@ def test_embedding_propagation_weighted_mean(rng):
     ledger = ledger_with([1.0, 1.0, 1.0, 1.0])
     emb = EmbeddingTable(rng.normal(size=(4, 5)))
     new_rows = {j: rng.normal(size=5) for j in (1, 2, 3)}
-    out = propagate_embeddings(g, ledger, emb, new_rows, beta_aff=0.0)
+    out = propagate_embeddings(g, emb, new_rows, qualifying_anchor_sets(g, ledger, new_rows, 0.0))
     total_w = sum(weights.values())
     expected = 0.5 * emb.rows[0] + 0.5 * sum(
         w * new_rows[j] for j, w in weights.items()

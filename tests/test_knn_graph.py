@@ -21,7 +21,6 @@ from coresel.knn_graph import (
     build_graph,
     build_lsh_index,
     dump_graph,
-    edge_weight,
     load_graph,
     pairwise_sq_dists,
     repair_graph,
@@ -37,8 +36,13 @@ def clustered_table(rng, n, d, c=5, spread=0.1, separation=5.0):
 
 
 # ---------------------------------------------------------------------------
-# edge_weight
+# edge weights
 # ---------------------------------------------------------------------------
+
+def edge_weight(h_i, h_j) -> float:
+    """Weight of the one edge of the two-node graph over h_i and h_j (k = 1)."""
+    return build_graph(EmbeddingTable([h_i, h_j]), k=1).weight(0, 1)
+
 
 def test_edge_weight_identical_vectors():
     v = np.array([1.5, -2.0, 3.0])
@@ -56,11 +60,6 @@ def test_edge_weight_inverted_from_target():
     a = np.zeros(2)
     b = np.array([math.sqrt(230.2585), 0.0])
     assert edge_weight(a, b) == pytest.approx(0.1, abs=1e-6)
-
-
-def test_edge_weight_dimension_mismatch():
-    with pytest.raises(DomainError):
-        edge_weight(np.zeros(3), np.zeros(4))
 
 
 # ---------------------------------------------------------------------------
@@ -622,6 +621,23 @@ def test_load_graph_rejects_malformed_dump(defect, edit):
     edit(records)
     with pytest.raises(FormatError):
         load_graph(_dump_lines(records))
+
+
+@pytest.mark.parametrize("bad", [math.inf, -0.5, 7.0, math.nan])
+def test_load_graph_rejects_weight_outside_unit_interval(bad):
+    records = json.loads(json.dumps(_GOOD))
+    records[0]["w"] = [bad]
+    records[1]["w"][0] = bad  # listed from both ends with one weight
+    with pytest.raises(FormatError, match="record 0 gives neighbor 1 the weight"):
+        load_graph(_dump_lines(records))
+
+
+def test_load_graph_accepts_unit_interval_end_weights():
+    records = json.loads(json.dumps(_GOOD))
+    records[0]["w"], records[1]["w"] = [0.0], [0.0, 1.0]
+    records[2]["w"] = [1.0]
+    g = load_graph(_dump_lines(records))
+    assert (g.weight(0, 1), g.weight(1, 2)) == (0.0, 1.0)
 
 
 def test_repair_loaded_graph_needs_directed_lists(rng):

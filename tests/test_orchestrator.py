@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from coresel import orchestrator
+from coresel import dynamics, orchestrator
 from coresel.errors import ConfigError, DataError
-from coresel.orchestrator import run, run_adaptive, run_baseline
+from coresel.orchestrator import loss_rows, run, run_adaptive, run_baseline
 from coresel.simulator import SimState
 from coresel.store import SelectionConfig
 
@@ -157,8 +157,23 @@ def test_selection_events_schema():
 
 def test_loss_rows_cover_every_step():
     report = run_adaptive(_cfg(), _sim(), 70, 10)
-    rows = report.loss_rows()
+    rows = loss_rows(report.to_dict())
     assert [s for s, _ in rows] == list(range(1, 71))
+
+
+def test_one_qualifying_pass_per_check(monkeypatch):
+    calls = []
+    qualify = dynamics.qualifying_anchor_sets
+
+    def counted(*args, **kwargs):
+        calls.append(args[2])
+        return qualify(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "qualifying_anchor_sets", counted)
+    report = run_adaptive(_cfg(delta=0.0, delta_h=0.0, seed=5), _sim(seed=5), 75, 15)
+    with_recal = [p for p in report.plans if p.recal_set]
+    assert with_recal and any(p.graph_repaired for p in with_recal)
+    assert [tuple(c) for c in calls] == [p.recal_set for p in with_recal]
 
 
 def test_adaptive_selection_uses_fresh_scores():

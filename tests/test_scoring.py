@@ -8,13 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coresel.errors import ConfigError, DomainError
+from conftest import warp_reference
 from coresel.scoring import (
     WarpParams,
     derive_warp_params,
     el2n_from_probs,
-    el2n_score,
     selection_scores,
-    warp_importance,
     warp_mode,
     warped_scores,
 )
@@ -28,43 +27,29 @@ def _cfg(**overrides):
 
 
 # ---------------------------------------------------------------------------
-# el2n_score
+# el2n_from_probs
 # ---------------------------------------------------------------------------
+
+def _frobenius_el2n(probs, labels) -> float:
+    """EL2N over several rows: the Frobenius norm, from the per-row norms."""
+    return float(np.linalg.norm(el2n_from_probs(np.asarray(probs, dtype=float), labels)))
+
 
 def test_el2n_perfect_prediction_is_zero():
     onehot = np.array([[1.0, 0.0], [0.0, 1.0]])
-    assert el2n_score(onehot, onehot) == 0.0
+    assert _frobenius_el2n(onehot, np.array([0, 1])) == 0.0
 
 
 def test_el2n_single_row_hand_value():
-    got = el2n_score([[0.5, 0.5]], [[1.0, 0.0]])
+    got = _frobenius_el2n([[0.5, 0.5]], np.array([0]))
     assert got == pytest.approx(math.sqrt(0.5), abs=1e-12)  # 0.70711
 
 
 @pytest.mark.parametrize("t,v", [(1, 3), (4, 5), (7, 2)])
 def test_el2n_uniform_closed_form(t, v):
     probs = np.full((t, v), 1.0 / v)
-    onehot = np.zeros((t, v))
-    onehot[:, 0] = 1.0
     expected = math.sqrt(t * (1.0 - 1.0 / v) ** 2 + t * (v - 1) / v**2)
-    assert el2n_score(probs, onehot) == pytest.approx(expected, abs=1e-12)
-
-
-def test_el2n_shape_mismatch():
-    with pytest.raises(DomainError, match="shape"):
-        el2n_score([[0.5, 0.5]], [[1.0, 0.0, 0.0]])
-
-
-def test_el2n_rejects_non_simplex():
-    with pytest.raises(DomainError, match="simplex"):
-        el2n_score([[0.9, 0.3]], [[1.0, 0.0]])
-    with pytest.raises(DomainError, match="simplex"):
-        el2n_score([[1.2, -0.2]], [[1.0, 0.0]])
-
-
-def test_el2n_rejects_bad_onehot():
-    with pytest.raises(DomainError, match="onehot"):
-        el2n_score([[0.5, 0.5]], [[0.5, 0.5]])
+    assert _frobenius_el2n(probs, np.zeros(t, dtype=int)) == pytest.approx(expected, abs=1e-12)
 
 
 def test_el2n_row_permutation_invariant(rng):
@@ -72,10 +57,9 @@ def test_el2n_row_permutation_invariant(rng):
     logits = rng.normal(size=(t, v))
     probs = np.exp(logits) / np.exp(logits).sum(axis=1, keepdims=True)
     labels = rng.integers(0, v, size=t)
-    onehot = np.eye(v)[labels]
-    base = el2n_score(probs, onehot)
+    base = _frobenius_el2n(probs, labels)
     perm = rng.permutation(t)
-    assert el2n_score(probs[perm], onehot[perm]) == pytest.approx(base, abs=1e-12)
+    assert _frobenius_el2n(probs[perm], labels[perm]) == pytest.approx(base, abs=1e-12)
 
 
 def test_el2n_from_probs_matches_public_op(rng):
@@ -85,9 +69,10 @@ def test_el2n_from_probs_matches_public_op(rng):
     labels = rng.integers(0, v, size=8)
     batch = el2n_from_probs(probs, labels)
     for row in range(8):
-        onehot = np.zeros((1, v))
-        onehot[0, labels[row]] = 1.0
-        assert batch[row] == pytest.approx(el2n_score(probs[row:row + 1], onehot), abs=1e-12)
+        onehot = np.zeros(v)
+        onehot[labels[row]] = 1.0
+        assert batch[row] == pytest.approx(math.sqrt(np.sum((probs[row] - onehot) ** 2)),
+                                           abs=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -127,32 +112,23 @@ def test_alpha_strictly_increases_with_eta():
 
 
 # ---------------------------------------------------------------------------
-# warp_importance
+# warped_scores without modal normalization
 # ---------------------------------------------------------------------------
 
 def test_warp_gamma_zero_is_one():
     params = WarpParams(alpha=3.0, beta=4.0, gamma_temp=0.0)
-    for x in (0.1, 0.5, 0.9):
-        assert warp_importance(x, params) == 1.0
+    assert warped_scores([0.1, 0.5, 0.9], params, normalize=False).tolist() == [1.0, 1.0, 1.0]
 
 
 def test_warp_symmetric_beta_hand_value():
     params = WarpParams(alpha=2.0, beta=2.0, gamma_temp=1.0)
-    assert warp_importance(0.5, params) == pytest.approx(1.5, abs=1e-12)
-
-
-def test_warp_rejects_outside_unit_interval():
-    params = WarpParams(alpha=2.0, beta=2.0, gamma_temp=1.0)
-    with pytest.raises(DomainError):
-        warp_importance(-0.01, params)
-    with pytest.raises(DomainError):
-        warp_importance(1.01, params)
+    assert warped_scores([0.5], params, normalize=False)[0] == pytest.approx(1.5, abs=1e-12)
 
 
 def test_warp_grid_argmax_matches_analytic_mode():
     params = WarpParams(alpha=2.5811388300841898, beta=7.41886116991581, gamma_temp=1.0)
     grid = np.arange(1e-4, 1.0, 1e-4)
-    values = [warp_importance(float(x), params) for x in grid]
+    values = warped_scores(grid, params, normalize=False)
     got = float(grid[int(np.argmax(values))])
     expected = (params.alpha - 1.0) / (params.alpha + params.beta - 2.0)
     assert expected == pytest.approx(0.19764, abs=1e-4)
@@ -167,9 +143,9 @@ def test_warp_grid_argmax_matches_analytic_mode():
 def test_warp_gamma_rescales_log_scores(alpha, gamma):
     base = WarpParams(alpha=alpha, beta=10.0 - alpha, gamma_temp=1.0)
     hot = WarpParams(alpha=alpha, beta=10.0 - alpha, gamma_temp=gamma)
-    for x in (0.05, 0.3, 0.7, 0.95):
-        f1 = warp_importance(x, base)
-        fg = warp_importance(x, hot)
+    xs = [0.05, 0.3, 0.7, 0.95]
+    f1s = warped_scores(xs, base, normalize=False)
+    for f1, fg in zip(f1s, warped_scores(xs, hot, normalize=False)):
         assert math.log(fg) == pytest.approx(gamma * math.log(f1), rel=1e-9, abs=1e-9)
 
 
@@ -186,7 +162,7 @@ def test_warp_ranking_gamma_invariant(rng):
 def test_warp_unimodal_on_interior(rng):
     params = WarpParams(alpha=3.3, beta=4.9, gamma_temp=1.0)
     grid = np.linspace(0.001, 0.999, 2001)
-    vals = np.array([warp_importance(float(x), params) for x in grid])
+    vals = warped_scores(grid, params, normalize=False)
     peak = int(np.argmax(vals))
     assert np.all(np.diff(vals[: peak + 1]) >= -1e-12)
     assert np.all(np.diff(vals[peak:]) <= 1e-12)
@@ -215,7 +191,7 @@ def test_warped_scores_match_scalar_op(rng):
     got = warped_scores(scores, params, normalize=False)
     clamped = np.clip(scores, 1e-6, 1.0 - 1e-6)
     for i in range(25):
-        assert got[i] == pytest.approx(warp_importance(float(clamped[i]), params), rel=1e-12)
+        assert got[i] == pytest.approx(warp_reference(float(clamped[i]), params), rel=1e-12)
 
 
 def test_warp_mode_boundary_cases():

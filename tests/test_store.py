@@ -3,6 +3,7 @@
 import io
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -15,7 +16,6 @@ from coresel.store import (
     EmbeddingTable,
     ScoreLedger,
     SelectionConfig,
-    embeddings_bytes,
     ingest_embeddings,
     load_score_stream,
     min_max_normalize,
@@ -27,6 +27,20 @@ from coresel.store import (
 # ---------------------------------------------------------------------------
 # embedding file format
 # ---------------------------------------------------------------------------
+
+def embeddings_bytes(table: EmbeddingTable) -> bytes:
+    buf = io.BytesIO()
+    write_embeddings(table, buf)
+    return buf.getvalue()
+
+
+# Headers whose payload is larger than the file: 4 n d overflows a C size,
+# and 4 n d = 256 MiB against the 64 bytes that follow.
+OVERSIZED_HEADERS = [
+    struct.pack("<4sIQI", EMBEDDING_MAGIC, 1, 2**64 - 1, 2**32 - 1),
+    struct.pack("<4sIQI", EMBEDDING_MAGIC, 1, 2**22, 16),
+]
+
 
 def test_ingest_round_trip_small(tmp_path):
     table = EmbeddingTable([[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
@@ -68,6 +82,25 @@ def test_ingest_truncated_payload():
     good = embeddings_bytes(EmbeddingTable([[1.0, 2.0], [3.0, 4.0]]))
     with pytest.raises(FormatError, match="truncated"):
         ingest_embeddings(io.BytesIO(good[:-4]))
+
+
+@pytest.mark.parametrize("header", OVERSIZED_HEADERS, ids=["overflow", "256MiB"])
+def test_ingest_rejects_payload_larger_than_file(header):
+    with pytest.raises(FormatError, match="truncated"):
+        ingest_embeddings(io.BytesIO(header + b"\x00" * 64))
+
+
+def test_ingest_oversized_header_reads_only_what_the_file_holds(tmp_path):
+    path = tmp_path / "emb.bin"
+    path.write_bytes(OVERSIZED_HEADERS[1] + b"\x00" * 64)
+    tracemalloc.start()
+    try:
+        with pytest.raises(FormatError, match="268435456 bytes"):
+            ingest_embeddings(str(path))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_ingest_bad_version():
@@ -280,7 +313,7 @@ def test_ledger_matches_list_reference(window, calls):
         for i, (row_steps, row_scores) in enumerate(ref):
             assert ledger.history(i) == list(zip(row_steps, row_scores))
             assert ledger.current[i] == (row_scores[-1] if row_scores else 0.0)
-            assert ledger.last_step(i) == (row_steps[-1] if row_steps else None)
+            assert ledger.steps[i, -1] == (row_steps[-1] if row_steps else -1)
             for t in range(-1, max(row_steps, default=0) + 2):
                 if t in row_steps:
                     assert ledger.score_at(i, t) == row_scores[row_steps.index(t)]
