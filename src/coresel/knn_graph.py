@@ -8,10 +8,12 @@ mutuality without a full rebuild.
 
 Build and repair find neighbors by exact brute force, a few rows at a time,
 without an (n, n) matrix. Each block of distance rows is first screened with
-one GEMM on mean-centred rows (||x||^2 + ||y||^2 - 2 x.y). A rounding-error
-bound on the screen keeps every column that could be among a row's exact k
-nearest; only those pairs get the exact sum of squared differences, and they
-are ordered by (d^2, id). The exact sums are bitwise the entries of
+one GEMM on augmented mean-centred rows, [x, ||x||^2, 1] . [-2 y, 1, ||y||^2]
+= ||x||^2 + ||y||^2 - 2 x.y. A rounding-error bound on the screen, taken
+around an upper bound on each row's screened k-th value (the k-th smallest
+of per-chunk minima), keeps every column that could be among the row's exact
+k nearest; only those pairs get the exact sum of squared differences, and
+they are ordered by (d^2, id). The exact sums are bitwise the entries of
 ``rows_sq_dists``, so the lists equal a stable sort of exact distance rows.
 ``rows_sq_dists`` and ``pairwise_sq_dists`` remain the difference kernel in
 full-row and all-pairs form.
@@ -46,21 +48,23 @@ _BLOCK_ELEMS = 1 << 18
 
 # Bound on |screened - exact| for a pair (i, j), per unit u = 2^-53 and
 # N = ||x~_i||^2 + ||x~_j||^2, where x~ = fl(x - mean) are the centred rows.
-# To first order in u (Higham, Accuracy and Stability of Numerical
-# Algorithms, ch. 3: a computed d-term dot product errs by at most
-# gamma_d = d u / (1 - d u) times the sum of the absolute products, in any
-# summation order, BLAS included):
+# The screen is one (d + 2)-term product of [x~_i, N_i, 1] and
+# [-2 x~_j, 1, N_j]. To first order in u (Higham, Accuracy and Stability of
+# Numerical Algorithms, ch. 3: a computed m-term dot product errs by at most
+# gamma_m = m u / (1 - m u) times the sum of the absolute products, in any
+# summation order, BLAS and FMA included):
 #   centring  fl(x - mean) moves each coordinate of x_i - x_j by at most
 #             u (|x~_i| + |x~_j|), so the squared distance by 4 u N;
-#   screen    both squared norms gamma_d N, the doubled dot product gamma_d N,
-#             and two additions over magnitudes up to 2 N: 2 (d + 2) u N;
+#   norms     the two computed squared norms err by gamma_d N together: d u N;
+#   screen    gamma_(d+2) times the absolute products, 2 |x~_i . x~_j| plus
+#             the two norms, at most 2 N: 2 (d + 2) u N;
 #   exact sum one rounding in each difference and square plus gamma_(d-1) in
 #             the sum, gamma_(d+2) relative, on a distance of at most 2 N:
 #             2 (d + 2) u N.
-# Together (4 (d + 2) + 4) u N <= 6 (d + 2) u N for d >= 1; c = 8 leaves
-# 2 (d + 2) u N for the second-order terms and for rounding in the bound
-# itself. Each screened row uses its largest bound, N_i + max_j N_j, and adds
-# (d + 2) c smallest subnormals for products that underflow.
+# Together (5 d + 12) u N <= 6 (d + 2) u N; c = 8 leaves 2 (d + 2) u N for
+# the second-order terms and for rounding in the bound itself. Each screened
+# row uses its largest bound, N_i + max_j N_j, and adds (d + 2) c smallest
+# subnormals for the at most 4 d products that underflow, each off by half of one.
 _SCREEN_C = 8.0
 _U = 2.0 ** -53
 _ETA = 2.0 ** -1074
@@ -192,19 +196,28 @@ def _pair_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Screen:
-    """The rows of one build or repair, centred once, with each row's screen error bound."""
+    """The rows of one build or repair, centred once into augmented GEMM operands,
+    with each row's screen error bound.
+
+    For the centred rows c, ``left`` holds [c, ||c||^2, 1] and ``right``
+    [-2c, 1, ||c||^2], so one product left[i] . right[j] is the screened
+    ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j.
+    """
 
     x: np.ndarray
-    centred: np.ndarray
-    sq: np.ndarray       # squared norms of the centred rows
+    left: np.ndarray     # (n, d + 2)
+    right: np.ndarray    # (n, d + 2)
     eps: np.ndarray      # bound on |screened - exact d2| over each row's columns
 
     @classmethod
     def of(cls, x: np.ndarray) -> "_Screen":
         centred = x - x.mean(axis=0)
         sq = np.einsum("ij,ij->i", centred, centred)
+        ones = np.ones_like(sq)
+        left = np.column_stack((centred, sq, ones))
+        right = np.column_stack((-2.0 * centred, ones, sq))
         eps = _SCREEN_C * (x.shape[1] + 2) * (_U * (sq + sq.max()) + _ETA)
-        return cls(x=x, centred=centred, sq=sq, eps=eps)
+        return cls(x=x, left=left, right=right, eps=eps)
 
     def blocks(self, ids: np.ndarray):
         """Yield (block ids, screened d2 rows) a few rows at a time; each block reuses one buffer."""
@@ -230,11 +243,9 @@ class _Screen:
 
 
 def _screened_rows(screen: _Screen, block: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """||c_i||^2 + ||c_j||^2 - 2 c_i.c_j over the centred rows c, into ``out``; self entries inf."""
-    np.matmul(screen.centred[block], screen.centred.T, out=out)
-    out *= -2.0
-    out += screen.sq[block, None]
-    out += screen.sq
+    """||c_i||^2 + ||c_j||^2 - 2 c_i.c_j over the centred rows c as one GEMM, into
+    ``out``; self entries inf."""
+    np.matmul(screen.left[block], screen.right.T, out=out)
     out[np.arange(len(block)), block] = np.inf
     return out
 
@@ -243,14 +254,23 @@ def _nearest(screen: _Screen, block, s, k: int, cand=None) -> tuple[np.ndarray, 
     """Each block row's k nearest as (ids, exact d2), ordered by (d2, id).
 
     A column whose exact d2 is at or below the row's exact k-th value screens
-    within 2 eps of the screened k-th value, so keeping those columns keeps
-    every one a stable sort of the exact row would take, ties at the k-th
-    value included. A NaN screen (overflow) is kept too.
+    within 2 eps of the screened k-th value, so keeping every column that
+    screens within 2 eps of an upper bound on that value keeps every one a
+    stable sort of the exact row would take, ties at the k-th value included.
+    The bound is the k-th smallest of the minima over at least 4k column
+    chunks: k chunks reach it, so k columns do. A row whose chunk bound is not
+    finite takes its screened k-th value instead. A NaN screen (overflow) is
+    kept too.
     """
-    kth = np.partition(s, k - 1, axis=1)[:, k - 1]
+    n = s.shape[1]
+    mins = np.minimum.reduceat(s, np.arange(0, n, max(1, n // (4 * k))), axis=1)
+    kth = np.partition(mins, k - 1, axis=1)[:, k - 1]
+    loose = np.flatnonzero(~np.isfinite(kth))
+    if loose.size:
+        kth[loose] = np.partition(s[loose], k - 1, axis=1)[:, k - 1]
     far = s > (kth + 2.0 * screen.eps[block])[:, None]
     # one flat scan of the mask is several times faster than a 2-d np.nonzero
-    rows, cols = np.divmod(np.flatnonzero(~far), s.shape[1])
+    rows, cols = np.divmod(np.flatnonzero(~far), n)
     vals = screen.exact(block, rows, cols, cand)
     order = np.lexsort((cols, vals, rows))
     first = np.searchsorted(rows, np.arange(len(block)))  # each row's run in ``order``
@@ -372,13 +392,31 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
 
 
 def dump_graph(g: MutualKnnGraph, target) -> None:
-    """One JSON line per node: {"id": i, "k": k, "nbrs": [...], "w": [...]}, ids ascending."""
+    """One JSON line per node: {"id": i, "k": k, "nbrs": [...], "w": [...]}, ids ascending.
+
+    The text equals ``json.dumps`` of each record. Both ends of an edge hold
+    one weight bit for bit, so each edge's weight is formatted once.
+    """
+    n = g.n
+    key = np.where(g.mutual, g.knn_ids, n)  # padding and one-way slots sort last
+    order = np.argsort(key, axis=1, kind="stable")
+    nbrs = np.take_along_axis(key, order, axis=1)
+    edge = nbrs < n
+    rows, nbrs = np.nonzero(edge)[0], nbrs[edge]
+    w = np.take_along_axis(g.weights, order, axis=1)[edge]
+    # slots run by (row, neighbour): format at the low end, find the high end by search
+    low = np.flatnonzero(rows < nbrs)
+    high = np.searchsorted(rows * n + nbrs, nbrs[low] * n + rows[low])
+    text = np.empty(len(w), dtype=object)
+    text[low] = text[high] = list(map(float.__repr__, w[low].tolist()))
+    text = text.tolist()
+    names = list(map(str, range(n)))
+    nbrs = list(map(names.__getitem__, nbrs.tolist()))
+    stops = np.cumsum(np.bincount(rows, minlength=n)).tolist()
     with opened(target, "w") as fh:
-        for i in range(g.n):
-            nbrs, w = g.knn_ids[i][g.mutual[i]], g.weights[i][g.mutual[i]]
-            order = np.argsort(nbrs)
-            line = {"id": i, "k": g.k, "nbrs": nbrs[order].tolist(), "w": w[order].tolist()}
-            fh.write(json.dumps(line) + "\n")
+        fh.write("".join(
+            f'{{"id": {i}, "k": {g.k}, "nbrs": [{", ".join(nbrs[a:b])}], "w": [{", ".join(text[a:b])}]}}\n'
+            for i, a, b in zip(range(n), [0] + stops, stops)))
 
 
 def load_graph(source) -> MutualKnnGraph:

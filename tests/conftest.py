@@ -1,10 +1,13 @@
 """Shared fixtures and reference oracles used across the suite."""
 
+import io
+import json
 import math
 
 import numpy as np
 import pytest
 
+from coresel.errors import FormatError
 from coresel.store import EmbeddingTable
 
 
@@ -96,6 +99,55 @@ def repair_reference(g, idx, emb: EmbeddingTable, changed):
     for v in np.flatnonzero(touched).tolist():
         knn_ids[v], knn_d2[v] = topk(dist_row(v))
     return knn_ids, knn_d2
+
+
+def nearest_reference(screen, block, s, k: int, cand=None):
+    """``knn_graph._nearest`` with the row's screened k-th value, from
+    ``np.partition`` over the whole row, as the threshold."""
+    kth = np.partition(s, k - 1, axis=1)[:, k - 1]
+    far = s > (kth + 2.0 * screen.eps[block])[:, None]
+    rows, cols = np.divmod(np.flatnonzero(~far), s.shape[1])
+    vals = screen.exact(block, rows, cols, cand)
+    order = np.lexsort((cols, vals, rows))
+    first = np.searchsorted(rows, np.arange(len(block)))
+    take = order[first[:, None] + np.arange(k)]
+    return cols[take], vals[take]
+
+
+def dump_graph_reference(g) -> str:
+    """The graph dump as one ``json.dumps`` per node record."""
+    out = []
+    for i in range(g.n):
+        nbrs, w = g.knn_ids[i][g.mutual[i]], g.weights[i][g.mutual[i]]
+        order = np.argsort(nbrs)
+        line = {"id": i, "k": g.k, "nbrs": nbrs[order].tolist(), "w": w[order].tolist()}
+        out.append(json.dumps(line) + "\n")
+    return "".join(out)
+
+
+def score_stream_reference(ledger) -> str:
+    """The score stream as one ``json.dumps`` per ledger entry."""
+    out = []
+    for i, (steps, scores) in enumerate(zip(ledger.steps.tolist(), ledger.scores.tolist())):
+        for step, score in zip(steps, scores):
+            if step >= 0:
+                out.append(json.dumps({"id": i, "step": step, "score": score}) + "\n")
+    return "".join(out)
+
+
+def score_lines_reference(text: str) -> list[tuple[int, int, float]]:
+    """(id, step, score) per non-blank line, one ``json.loads`` per line; FormatError
+    names the first malformed line."""
+    entries = []
+    for lineno, line in enumerate(io.StringIO(text).readlines(), start=1):
+        if not line.strip():
+            continue
+        try:
+            obj = json.loads(line)
+            entries.append((int(obj["id"]), int(obj["step"]), float(obj["score"])))
+        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            raise FormatError(f"score stream line {lineno} is malformed: {exc}") from exc
+    return entries
 
 
 def audit_graph(g, emb: EmbeddingTable) -> None:

@@ -127,6 +127,17 @@ def test_select_rejects_negative_step(tmp_path, emb_file, capsys):
     assert "step" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", [{"id": 10**20, "step": 1, "score": 1.0},
+                                   {"id": 0, "step": 2**63, "score": 1.0}])
+def test_select_rejects_id_or_step_outside_int64(tmp_path, emb_file, entry, capsys):
+    path = tmp_path / "big.jsonl"
+    path.write_text(json.dumps({"id": 1, "step": 1, "score": 1.0}) + "\n" + json.dumps(entry) + "\n")
+    code = main(["select", "--embeddings", emb_file, "--scores", str(path),
+                 "--budget", "5", "--eta", "0.2"])
+    assert code == 3
+    assert "line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -11,8 +11,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from conftest import (audit_graph, lsh_buckets, lsh_candidates, mutual_knn_oracle,
-                      repair_reference)
+from conftest import (audit_graph, dump_graph_reference, lsh_buckets, lsh_candidates,
+                      mutual_knn_oracle, nearest_reference, repair_reference)
 from coresel import knn_graph
 from coresel.errors import DomainError, FormatError
 from coresel.knn_graph import (
@@ -231,6 +231,88 @@ def test_pair_sq_dists_bitwise_equal_rows_sq_dists(seed, n, d, scale, offset, la
         got = knn_graph._pair_sq_dists(x, i, j)
     want = rows_sq_dists(x, i)[np.arange(len(i)), j]
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 40), d=st.integers(1, 128),
+       offset=st.sampled_from([0.0, 1e6, 1e8]), scale=st.sampled_from([1e-3, 1e-1, 1.0, 1e1, 1e3]),
+       duplicates=st.integers(0, 4), zeros=st.integers(0, 2), subnormal=st.integers(0, 40),
+       tiny=st.sampled_from([2.0**-1074, 2.0**-540]))
+def test_screen_error_within_bound(seed, n, d, offset, scale, duplicates, zeros, subnormal, tiny):
+    # eps[i] bounds |screened - exact| over row i's columns, exact being the
+    # rounded difference sum that becomes knn_d2. Subnormal rows hold small
+    # multiples of 2^-1074, or of 2^-540, whose squares are subnormal; when
+    # they are all the rows, products underflow and only the bound's
+    # subnormal term covers them.
+    gen = np.random.default_rng(seed)
+    rows = gen.normal(size=(n, d)) * scale + offset
+    for _ in range(duplicates):
+        rows[gen.integers(n)] = rows[gen.integers(n)]
+    rows[gen.integers(n, size=zeros)] = 0.0
+    rows[gen.permutation(n)[:subnormal]] = gen.integers(-8, 9, size=(min(subnormal, n), d)) * tiny
+    screen = knn_graph._Screen.of(rows)
+    s = knn_graph._screened_rows(screen, np.arange(n), np.empty((n, n)))
+    err = np.abs(s - rows_sq_dists(rows, np.arange(n)))
+    np.fill_diagonal(err, 0.0)  # the screen marks self entries inf
+    assert (err <= screen.eps[:, None]).all()
+
+
+def _screened_block(rows, block):
+    screen = knn_graph._Screen.of(rows)
+    return screen, knn_graph._screened_rows(screen, block, np.empty((len(block), len(rows))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 130), d=st.integers(1, 4),
+       k_frac=st.floats(0.0, 1.0), data=st.sampled_from(["normal", "grid"]),
+       planes=st.sampled_from([0, 1, 4, 16]), nans=st.integers(0, 6))
+def test_nearest_equals_partition_reference(seed, n, d, k_frac, data, planes, nans):
+    # Grid rows tie at the k-th value; a large k leaves n < 4k, so the chunks
+    # are single columns; n is rarely a multiple of the chunk width. With
+    # planes > 0 the rows are masked to their one-table LSH buckets, and many
+    # planes leave rows with fewer than k finite entries. NaN entries stand
+    # for screens that overflowed.
+    gen = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 2)) if n > 2 else 1
+    if data == "normal":
+        rows = gen.normal(size=(n, d))
+    else:
+        rows = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+    block = np.sort(gen.permutation(n)[:int(gen.integers(1, n + 1))])
+    screen, s = _screened_block(rows, block)
+    cand = None
+    if planes:
+        idx = build_lsh_index(EmbeddingTable(rows), num_tables=1, planes=planes, seed=seed % 1000)
+        cand = np.zeros(s.shape, dtype=bool)
+        cand.flat[idx.query(idx.signatures(rows), block)] = True
+        s[~cand] = np.inf
+    s.flat[gen.integers(s.size, size=nans)] = np.nan
+    want_ids, want_d2 = nearest_reference(screen, block, s.copy(), k, cand)
+    got_ids, got_d2 = knn_graph._nearest(screen, block, s, k, cand)
+    assert np.array_equal(got_ids, want_ids)
+    assert np.array_equal(got_d2, want_d2)
+
+
+def test_nearest_confined_candidates_skip_whole_row_sums():
+    # Each row's finite entries are one run of 2k = 10 columns, so they lie in
+    # at most two of the 20-column chunks, fewer than k = 5, and the chunk
+    # bound is inf. The row's own k-th value must replace it: exact sums over
+    # whole rows would cost n pairs per row where the run holds 2k.
+    gen = np.random.default_rng(5)
+    n, k = 400, 5
+    rows = gen.normal(size=(n, 3))
+    block = np.arange(0, n, 7)
+    screen, s = _screened_block(rows, block)
+    cand = np.zeros(s.shape, dtype=bool)
+    for r, start in enumerate(gen.integers(0, n - 2 * k, size=len(block))):
+        cand[r, start:start + 2 * k] = True
+    s[~cand] = np.inf
+    want_ids, want_d2 = nearest_reference(screen, block, s.copy(), k, cand)
+    with mock.patch.object(knn_graph, "_pair_sq_dists", wraps=knn_graph._pair_sq_dists) as pairs:
+        got_ids, got_d2 = knn_graph._nearest(screen, block, s, k, cand)
+    assert sum(len(c.args[1]) for c in pairs.call_args_list) <= np.isfinite(s).sum()
+    assert np.array_equal(got_ids, want_ids)
+    assert np.array_equal(got_d2, want_d2)
 
 
 def test_weight_one_iff_coincident(rng):
@@ -586,6 +668,56 @@ def test_graph_dump_load_keeps_k_below_max_degree():
     assert loaded.k == 3
     assert loaded.edge_set() == g.edge_set()
     assert loaded.weight(3, 2) == 0.25
+
+
+def assert_edge_weights_bitwise_symmetric(g):
+    """Each edge's weight is the same float at both ends, which lets the dump format it once."""
+    rows, slots = np.nonzero(g.mutual)
+    cols = g.knn_ids[rows, slots]
+    back = g.mutual[cols] & (g.knn_ids[cols] == rows[:, None])
+    assert back.any(axis=1).all()
+    there, here = g.weights[rows, slots], g.weights[cols, back.argmax(axis=1)]
+    assert np.array_equal(there.view(np.int64), here.view(np.int64))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 60), d=st.integers(1, 5),
+       k_frac=st.floats(0.0, 1.0), data=st.sampled_from(["normal", "grid", "far"]),
+       kind=st.sampled_from(["built", "repaired", "loaded"]))
+def test_dump_equals_json_dumps_reference(seed, n, d, k_frac, data, kind):
+    # "far" rows sit so far apart that weights underflow to 0 or are subnormal
+    gen = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 2)) if n > 2 else 1
+    if data == "grid":
+        rows = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+    else:
+        rows = gen.normal(size=(n, d)) * (1.0 if data == "normal" else 150.0)
+    emb = EmbeddingTable(rows)
+    g = build_graph(emb, k=k)
+    if kind == "repaired":
+        changed = gen.permutation(n)[:int(gen.integers(1, n + 1))]
+        emb.rows[changed] += gen.normal(size=(len(changed), d))
+        g = repair_graph(g, build_lsh_index(emb, seed=seed % 1000), emb, changed.tolist())
+    elif kind == "loaded":
+        g = load_graph(io.StringIO(dump_graph_reference(g)))
+    assert_edge_weights_bitwise_symmetric(g)
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    assert buf.getvalue() == dump_graph_reference(g)
+
+
+@pytest.mark.parametrize("n, k, edges", [
+    (5, 3, {(0, 1): 0.5, (2, 3): 0.25}),  # -1 padding and an isolated node
+    (4, 1, {(0, 3): 1.0, (1, 2): 0.0}),
+    (3, 2, {(0, 1): 5e-324, (0, 2): 0.1, (1, 2): 1 / 3}),
+    (3, 1, {}),
+])
+def test_dump_from_edges_equals_json_dumps_reference(n, k, edges):
+    g = MutualKnnGraph.from_edges(n, k, edges)
+    assert_edge_weights_bitwise_symmetric(g)
+    buf = io.StringIO()
+    dump_graph(g, buf)
+    assert buf.getvalue() == dump_graph_reference(g)
 
 
 def _dump_lines(records):

@@ -1,15 +1,19 @@
 """Embedding I/O, the score ledger, normalization, and config validation."""
 
 import io
+import json
 import math
 import struct
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import score_lines_reference, score_stream_reference
+from coresel import store
 from coresel.errors import ConfigError, DataError, DomainError, FormatError, OrderingError
 from coresel.store import (
     EMBEDDING_MAGIC,
@@ -329,6 +333,69 @@ def test_ledger_matches_list_reference(window, calls):
 def test_score_stream_malformed_line():
     with pytest.raises(FormatError, match="line 2"):
         load_score_stream(io.StringIO('{"id": 0, "step": 1, "score": 1.0}\n{"id": 0}\n'), 1)
+
+
+@settings(max_examples=80, deadline=None)
+@given(n=st.integers(1, 12), window=st.integers(1, 5), data=st.data())
+def test_score_stream_equals_json_dumps_reference(n, window, data):
+    # rows hold 0..window+2 entries, so some keep empty slots and some are full
+    ledger = ScoreLedger(n, window=window)
+    for i in range(n):
+        steps = sorted(data.draw(st.sets(st.integers(0, 2**40), max_size=window + 2)))
+        for step in steps:
+            score = data.draw(st.floats(min_value=0.0, max_value=1e300) | st.sampled_from([5e-324, 0.1]))
+            ledger.record(i, step, score)
+    buf = io.StringIO()
+    write_score_stream(ledger, buf)
+    assert buf.getvalue() == score_stream_reference(ledger)
+    with mock.patch.object(store, "_parse_score_lines", side_effect=AssertionError("per-line parse")):
+        loaded = load_score_stream(io.StringIO(buf.getvalue()), n, window=window)
+    assert np.array_equal(loaded.steps, ledger.steps)
+    assert np.array_equal(loaded.scores, ledger.scores)
+
+
+_LINES = [json.dumps({"id": i, "step": 1, "score": 0.5 * i}) for i in range(4)]
+
+
+@pytest.mark.parametrize("text", [
+    "\n".join(_LINES[:2] + ['{"id": 2, "step": 1, "score": }'] + _LINES[3:]),  # bad JSON, line 3
+    "\n".join(_LINES[:1] + ['{"id": 1, "score": 0.5}'] + _LINES[2:]),  # missing key
+    "\n".join(_LINES[:2] + ['{"id": "two", "step": 1, "score": 1.0}']),  # non-numeric id
+    "\n\n  \n" + "\n\n".join(_LINES[:2] + ["{oops}"]) + "\n\n",  # blank lines
+    "\n".join(_LINES[:1] + ["[1, 2, 3]"] + _LINES[1:]),  # non-object lines
+    "\n".join(_LINES[:1] + ["7"]),
+    "\n".join(_LINES[:1] + ['"id"']),
+    "\n".join(_LINES[:1] + ["null"]),
+    # lines that read as one JSON array once joined, but not one by one
+    '{"id": 0, "step": 1\n"score": 1.0}, {"id": 1, "step": 1, "score": 1.0}\n',
+    _LINES[0] + ", [1\n2], " + _LINES[1] + "\n",
+    '{"id": 0, "step": 1, "score": 1.0, "x": [1\n2]}, null, ' + _LINES[1] + "\n",
+])
+def test_score_stream_fast_parse_raises_per_line_error(text):
+    with pytest.raises(FormatError) as want:
+        score_lines_reference(text)
+    with pytest.raises(FormatError) as got:
+        load_score_stream(io.StringIO(text), 4)
+    assert str(got.value) == str(want.value)
+
+
+def test_score_stream_extra_keys_and_blank_lines_parse_as_per_line():
+    text = "\n  \n" + _LINES[0] + '\n{"id": 1, "step": 2, "score": 3, "note": [1, {"a": null}]}\n\n'
+    ledger = load_score_stream(io.StringIO(text), 2)
+    assert [ledger.history(i) for i in range(2)] == [[(1, 0.0)], [(2, 3.0)]]
+    assert score_lines_reference(text) == [(0, 1, 0.0), (1, 2, 3.0)]
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": 99999999999999999999, "step": 1, "score": 1.0}',
+    '{"id": -9223372036854775809, "step": 1, "score": 1.0}',
+    '{"id": 1, "step": 9223372036854775808, "score": 1.0}',
+    '{"id": 1, "step": 1, "score": ' + "9" * 400 + "}",
+    '{"id": Infinity, "step": 1, "score": 1.0}',
+], ids=["id-big", "id-small", "step-big", "score-big", "id-inf"])
+def test_score_stream_rejects_values_outside_int64_or_float(line):
+    with pytest.raises(FormatError, match="line 3"):
+        load_score_stream(io.StringIO(_LINES[0] + "\n\n" + line + "\n" + _LINES[2]), 4)
 
 
 # ---------------------------------------------------------------------------
