@@ -11,10 +11,11 @@ without an (n, n) matrix. Each block of distance rows is first screened with
 one GEMM on augmented mean-centred rows, [x, ||x||^2, 1] . [-2 y, 1, ||y||^2]
 = ||x||^2 + ||y||^2 - 2 x.y. A rounding-error bound on the screen, taken
 around an upper bound on each row's screened k-th value (the k-th smallest
-of per-chunk minima), keeps every column that could be among the row's exact
-k nearest; only those pairs get the exact sum of squared differences, and
-they are ordered by (d^2, id). The exact sums are bitwise the entries of
-``rows_sq_dists``, so the lists equal a stable sort of exact distance rows.
+of per-chunk minima, with the columns in a fixed pseudo-random order), keeps
+every column that could be among the row's exact k nearest; only those pairs
+get the exact sum of squared differences, and they are ordered by (d^2, id).
+The exact sums are bitwise the entries of ``rows_sq_dists``, so the lists
+equal a stable sort of exact distance rows.
 ``rows_sq_dists`` and ``pairwise_sq_dists`` remain the difference kernel in
 full-row and all-pairs form.
 
@@ -200,24 +201,32 @@ class _Screen:
     with each row's screen error bound.
 
     For the centred rows c, ``left`` holds [c, ||c||^2, 1] and ``right``
-    [-2c, 1, ||c||^2], so one product left[i] . right[j] is the screened
-    ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j.
+    [-2c, 1, ||c||^2] in the column order ``order``, so one product
+    left[i] . right[p] is the screened ||c_i||^2 + ||c_j||^2 - 2 c_i.c_j of
+    node j = order[p]. The order is a fixed pseudo-random permutation, so a
+    row's nearest columns spread over the chunks of ``_nearest`` however the
+    ids are arranged (sorted by class, say).
     """
 
     x: np.ndarray
     left: np.ndarray     # (n, d + 2)
-    right: np.ndarray    # (n, d + 2)
+    right: np.ndarray    # (n, d + 2), row p for node order[p]
     eps: np.ndarray      # bound on |screened - exact d2| over each row's columns
+    order: np.ndarray    # node of each screened column
+    pos: np.ndarray      # screened column of each node
 
     @classmethod
     def of(cls, x: np.ndarray) -> "_Screen":
         centred = x - x.mean(axis=0)
         sq = np.einsum("ij,ij->i", centred, centred)
         ones = np.ones_like(sq)
+        order = np.random.default_rng(0).permutation(len(x))
         left = np.column_stack((centred, sq, ones))
-        right = np.column_stack((-2.0 * centred, ones, sq))
+        shuffled = centred[order]
+        shuffled *= -2.0  # in place: one more (n, d) temporary grew the heap 0.35 MB at n=3000
+        right = np.column_stack((shuffled, ones, sq[order]))
         eps = _SCREEN_C * (x.shape[1] + 2) * (_U * (sq + sq.max()) + _ETA)
-        return cls(x=x, left=left, right=right, eps=eps)
+        return cls(x=x, left=left, right=right, eps=eps, order=order, pos=np.argsort(order))
 
     def blocks(self, ids: np.ndarray):
         """Yield (block ids, screened d2 rows) a few rows at a time; each block reuses one buffer."""
@@ -228,25 +237,27 @@ class _Screen:
             block = ids[start:start + step]
             yield block, _screened_rows(self, block, out[:len(block)])
 
-    def exact(self, block, rows, cols, cand=None) -> np.ndarray:
-        """Exact d2 of the pairs (block[rows], cols), inf wherever the screen was masked.
+    def exact(self, block, rows, cols, cand=None) -> tuple[np.ndarray, np.ndarray]:
+        """Node ids and exact d2 of the screened entries (rows, cols) of a block;
+        d2 is inf wherever the screen was masked.
 
         The self column is masked, and so is every column outside ``cand``
-        when a (len(block), n) candidate mask is given.
+        when a (len(block), n) candidate mask over screened columns is given.
         """
-        vals = _pair_sq_dists(self.x, block[rows], cols)
-        masked = cols == block[rows]
+        ids = self.order[cols]
+        vals = _pair_sq_dists(self.x, block[rows], ids)
+        masked = ids == block[rows]
         if cand is not None:
             masked |= ~cand[rows, cols]
         vals[masked] = np.inf
-        return vals
+        return ids, vals
 
 
 def _screened_rows(screen: _Screen, block: np.ndarray, out: np.ndarray) -> np.ndarray:
     """||c_i||^2 + ||c_j||^2 - 2 c_i.c_j over the centred rows c as one GEMM, into
-    ``out``; self entries inf."""
+    ``out``, in the screen's column order; self entries inf."""
     np.matmul(screen.left[block], screen.right.T, out=out)
-    out[np.arange(len(block)), block] = np.inf
+    out[np.arange(len(block)), screen.pos[block]] = np.inf
     return out
 
 
@@ -258,7 +269,9 @@ def _nearest(screen: _Screen, block, s, k: int, cand=None) -> tuple[np.ndarray, 
     screens within 2 eps of an upper bound on that value keeps every one a
     stable sort of the exact row would take, ties at the k-th value included.
     The bound is the k-th smallest of the minima over at least 4k column
-    chunks: k chunks reach it, so k columns do. A row whose chunk bound is not
+    chunks: k chunks reach it, so k columns do. It is tight when the row's
+    nearest columns fall in different chunks, which the screen's shuffled
+    column order makes the usual case. A row whose chunk bound is not
     finite takes its screened k-th value instead. A NaN screen (overflow) is
     kept too.
     """
@@ -271,11 +284,11 @@ def _nearest(screen: _Screen, block, s, k: int, cand=None) -> tuple[np.ndarray, 
     far = s > (kth + 2.0 * screen.eps[block])[:, None]
     # one flat scan of the mask is several times faster than a 2-d np.nonzero
     rows, cols = np.divmod(np.flatnonzero(~far), n)
-    vals = screen.exact(block, rows, cols, cand)
-    order = np.lexsort((cols, vals, rows))
+    ids, vals = screen.exact(block, rows, cols, cand)
+    order = np.lexsort((ids, vals, rows))
     first = np.searchsorted(rows, np.arange(len(block)))  # each row's run in ``order``
     take = order[first[:, None] + np.arange(k)]
-    return cols[take], vals[take]
+    return ids[take], vals[take]
 
 
 def build_graph(emb: EmbeddingTable, k: int) -> MutualKnnGraph:
@@ -367,6 +380,7 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     # A node v is touched when a changed node sat in its list or could now enter it.
     touched = moved[g.knn_ids].any(axis=1)  # directed lists hold no -1 padding
     kth_d2, kth_id = g.knn_d2[:, -1], g.knn_ids[:, -1]
+    kth_by_col = kth_d2[screen.order]
     for block, s in screen.blocks(changed_ids):
         cand = None
         if sigs is not None:
@@ -376,11 +390,12 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
             cand[np.arange(len(block))[:, None], lists] = True
             second = g.mutual[block][:, :, None] & g.mutual[lists]  # (m, k, k)
             cand[np.nonzero(second)[0], g.knn_ids[lists][second]] = True
+            cand = cand[:, screen.order]  # by screened column, as s
             s[~cand] = np.inf
         # A changed node can enter v's list only if it screens within eps of
         # v's k-th d2; those pairs alone get exact d2 and the (d2, id) test.
-        r, c = np.divmod(np.flatnonzero(~(s - screen.eps[block, None] > kth_d2)), n)
-        d2 = screen.exact(block, r, c, cand)
+        r, col = np.divmod(np.flatnonzero(~(s - screen.eps[block, None] > kth_by_col)), n)
+        c, d2 = screen.exact(block, r, col, cand)
         enters = (d2 < kth_d2[c]) | ((d2 == kth_d2[c]) & (block[r] < kth_id[c]))
         touched[c[enters]] = True
         knn_ids[block], knn_d2[block] = _nearest(screen, block, s, k, cand)
@@ -391,22 +406,38 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     return MutualKnnGraph.from_lists(knn_ids, knn_d2)
 
 
+def _edge_slots(g: MutualKnnGraph) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row, neighbour and weight of every mutual slot, ordered by row, then neighbour.
+
+    Its (n, k) temporaries are freed on return, so the dump's own arrays can
+    reuse their heap space instead of growing the heap (0.4 MB at n = 3000).
+    """
+    key = np.where(g.mutual, g.knn_ids, g.n)  # padding and one-way slots sort last
+    order = np.argsort(key, axis=1, kind="stable")
+    nbrs = np.take_along_axis(key, order, axis=1)
+    edge = nbrs < g.n
+    return np.nonzero(edge)[0], nbrs[edge], np.take_along_axis(g.weights, order, axis=1)[edge]
+
+
 def dump_graph(g: MutualKnnGraph, target) -> None:
     """One JSON line per node: {"id": i, "k": k, "nbrs": [...], "w": [...]}, ids ascending.
 
-    The text equals ``json.dumps`` of each record. Both ends of an edge hold
-    one weight bit for bit, so each edge's weight is formatted once.
+    The text equals ``json.dumps`` of each record. Each edge's weight is
+    formatted once, at its low end, and copied to its high end; DomainError
+    unless every edge is listed once from both ends with one weight, bit for
+    bit, as the graph's constructors make it.
     """
     n = g.n
-    key = np.where(g.mutual, g.knn_ids, n)  # padding and one-way slots sort last
-    order = np.argsort(key, axis=1, kind="stable")
-    nbrs = np.take_along_axis(key, order, axis=1)
-    edge = nbrs < n
-    rows, nbrs = np.nonzero(edge)[0], nbrs[edge]
-    w = np.take_along_axis(g.weights, order, axis=1)[edge]
+    rows, nbrs, w = _edge_slots(g)
     # slots run by (row, neighbour): format at the low end, find the high end by search
+    slot = rows * n + nbrs
     low = np.flatnonzero(rows < nbrs)
-    high = np.searchsorted(rows * n + nbrs, nbrs[low] * n + rows[low])
+    mate = nbrs[low] * n + rows[low]
+    high = np.minimum(np.searchsorted(slot, mate), len(slot) - 1)
+    # distinct slots, as many high ends as low ones, and each low end's mate among them
+    if (np.any(np.diff(slot) <= 0) or 2 * len(low) != len(slot) or not np.array_equal(slot[high], mate)
+            or not np.array_equal(w[high].view(np.int64), w[low].view(np.int64))):
+        raise DomainError("graph edges must be listed once from both ends with one weight")
     text = np.empty(len(w), dtype=object)
     text[low] = text[high] = list(map(float.__repr__, w[low].tolist()))
     text = text.tolist()

@@ -214,22 +214,21 @@ def clamp_unit(values) -> np.ndarray:
     return np.clip(np.asarray(values, dtype=np.float64), CLAMP_EPS, 1.0 - CLAMP_EPS)
 
 
-_INT64 = np.iinfo(np.int64)
+_INT64_END = 1 << 63  # int64 holds [-_INT64_END, _INT64_END)
 
 
-def _columns(ids: list, steps: list, scores: list):
-    """The id, step and score arrays; OverflowError for an id or step outside int64."""
-    return np.array(ids, dtype=np.int64), np.array(steps, dtype=np.int64), np.array(scores)
+def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
+    """Replay a score-stream JSONL file into a fresh ledger of n samples.
 
-
-def _parse_score_lines(lines: list[str]) -> tuple[list, list, list]:
-    """ids, steps and scores of the non-blank lines, one ``json.loads`` per line.
-
-    FormatError names the first line that is not one JSON object with
-    numeric ``id``, ``step`` and ``score``, or whose id or step lies outside
-    int64.
+    The whole stream is parsed first; then one ``record`` call enters the
+    k-th entry of every sample, with the checks of a line-by-line replay.
+    FormatError names the first non-blank line that is not one JSON object
+    with numeric ``id``, ``step`` and ``score``, or whose id or step lies
+    outside int64.
     """
-    ids, steps, scores = [], [], []
+    with opened(source, "r") as fh:
+        lines = fh.readlines()
+    entries = []
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -238,51 +237,12 @@ def _parse_score_lines(lines: list[str]) -> tuple[list, list, list]:
             i, t, v = int(obj["id"]), int(obj["step"]), float(obj["score"])
         except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
             raise FormatError(f"score stream line {lineno} is malformed: {exc}") from exc
-        if not (_INT64.min <= i <= _INT64.max and _INT64.min <= t <= _INT64.max):
+        if not (-_INT64_END <= i < _INT64_END and -_INT64_END <= t < _INT64_END):
             raise FormatError(f"score stream line {lineno} has id {i} or step {t} "
                               f"outside the int64 range")
-        ids.append(i)
-        steps.append(t)
-        scores.append(v)
-    return ids, steps, scores
-
-
-def _parse_score_stream(lines: list[str]):
-    """(ids, steps, scores) arrays of a score stream's lines, as the per-line parse gives them.
-
-    The non-blank lines are parsed as one JSON array with a ``null`` between
-    lines. The parse stands only if it is exactly that: one element per line,
-    ``null`` between them, and per line an object with just ``id``, ``step``
-    and ``score`` that ``int``, ``float`` and int64 take. No joining ``null``
-    can then sit inside a value (an object key cannot be ``null``, a string
-    cannot hold the line break, and an array value fails the conversions), so
-    each line holds one JSON value, as ``json.loads`` reads it line by line.
-    Any other stream goes through the per-line parse, which raises its
-    FormatError. The parsed objects die with this call, before the ledger's
-    arrays are made, so they pin no allocator arena under the ledger.
-    """
-    body = [line for line in lines if line.strip()]
-    try:
-        objs = json.loads("[" + ",null,".join(body) + "]")
-        if objs[1::2] != [None] * (len(body) - 1):
-            raise ValueError("not one value per line")
-        objs = objs[::2]
-        ids = [int(o["id"]) for o in objs if len(o) == 3]
-        if len(ids) != len(body):
-            raise ValueError("not one object per line")
-        return _columns(ids, [int(o["step"]) for o in objs], [float(o["score"]) for o in objs])
-    except (ValueError, KeyError, TypeError, OverflowError):  # JSONDecodeError is a ValueError
-        return _columns(*_parse_score_lines(lines))
-
-
-def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
-    """Replay a score-stream JSONL file into a fresh ledger of n samples.
-
-    The whole stream is parsed first; then one ``record`` call enters the
-    k-th entry of every sample, with the checks of a line-by-line replay.
-    """
-    with opened(source, "r") as fh:
-        ids, steps, scores = _parse_score_stream(fh.readlines())
+        entries.append((i, t, v))
+    ids, steps = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
+    scores = np.array([e[2] for e in entries], dtype=np.float64)
     order = np.argsort(ids, kind="stable")
     rank = np.arange(ids.size) - np.searchsorted(ids[order], ids[order])  # k of order[j]
     ledger = ScoreLedger(n, window)

@@ -107,11 +107,11 @@ def nearest_reference(screen, block, s, k: int, cand=None):
     kth = np.partition(s, k - 1, axis=1)[:, k - 1]
     far = s > (kth + 2.0 * screen.eps[block])[:, None]
     rows, cols = np.divmod(np.flatnonzero(~far), s.shape[1])
-    vals = screen.exact(block, rows, cols, cand)
-    order = np.lexsort((cols, vals, rows))
+    ids, vals = screen.exact(block, rows, cols, cand)
+    order = np.lexsort((ids, vals, rows))
     first = np.searchsorted(rows, np.arange(len(block)))
     take = order[first[:, None] + np.arange(k)]
-    return cols[take], vals[take]
+    return ids[take], vals[take]
 
 
 def dump_graph_reference(g) -> str:

@@ -252,7 +252,7 @@ def test_screen_error_within_bound(seed, n, d, offset, scale, duplicates, zeros,
     rows[gen.permutation(n)[:subnormal]] = gen.integers(-8, 9, size=(min(subnormal, n), d)) * tiny
     screen = knn_graph._Screen.of(rows)
     s = knn_graph._screened_rows(screen, np.arange(n), np.empty((n, n)))
-    err = np.abs(s - rows_sq_dists(rows, np.arange(n)))
+    err = np.abs(s[:, screen.pos] - rows_sq_dists(rows, np.arange(n)))
     np.fill_diagonal(err, 0.0)  # the screen marks self entries inf
     assert (err <= screen.eps[:, None]).all()
 
@@ -285,6 +285,7 @@ def test_nearest_equals_partition_reference(seed, n, d, k_frac, data, planes, na
         idx = build_lsh_index(EmbeddingTable(rows), num_tables=1, planes=planes, seed=seed % 1000)
         cand = np.zeros(s.shape, dtype=bool)
         cand.flat[idx.query(idx.signatures(rows), block)] = True
+        cand = cand[:, screen.order]
         s[~cand] = np.inf
     s.flat[gen.integers(s.size, size=nans)] = np.nan
     want_ids, want_d2 = nearest_reference(screen, block, s.copy(), k, cand)
@@ -294,10 +295,10 @@ def test_nearest_equals_partition_reference(seed, n, d, k_frac, data, planes, na
 
 
 def test_nearest_confined_candidates_skip_whole_row_sums():
-    # Each row's finite entries are one run of 2k = 10 columns, so they lie in
-    # at most two of the 20-column chunks, fewer than k = 5, and the chunk
-    # bound is inf. The row's own k-th value must replace it: exact sums over
-    # whole rows would cost n pairs per row where the run holds 2k.
+    # Each row's finite entries are one run of 2k = 10 screened columns, so
+    # they lie in at most two of the 20-column chunks, fewer than k = 5, and
+    # the chunk bound is inf. The row's own k-th value must replace it: exact
+    # sums over whole rows would cost n pairs per row where the run holds 2k.
     gen = np.random.default_rng(5)
     n, k = 400, 5
     rows = gen.normal(size=(n, 3))
@@ -313,6 +314,27 @@ def test_nearest_confined_candidates_skip_whole_row_sums():
     assert sum(len(c.args[1]) for c in pairs.call_args_list) <= np.isfinite(s).sum()
     assert np.array_equal(got_ids, want_ids)
     assert np.array_equal(got_d2, want_d2)
+
+
+@pytest.mark.parametrize("arrange", ["round-robin", "by-class"])
+def test_nearest_exact_pairs_do_not_depend_on_id_order(arrange):
+    # Rows of one class sit next to each other in id order when sorted by
+    # class, so contiguous id chunks would hold a row's k nearest in fewer
+    # than k chunks and the chunk bound would keep most of the row for exact
+    # sums. The screen's shuffled column order spreads them; a whole-row
+    # partition keeps k per row, and the chunk bound stays within 2k.
+    n, k, classes = 1500, 10, 5
+    gen = np.random.default_rng(3)
+    labels = np.arange(n) % classes
+    if arrange == "by-class":
+        labels = np.sort(labels)
+    rows = gen.normal(size=(classes, 5))[labels] * 3.0 + gen.normal(size=(n, 5))
+    with mock.patch.object(knn_graph, "_pair_sq_dists", wraps=knn_graph._pair_sq_dists) as pairs:
+        g = build_graph(EmbeddingTable(rows), k=k)
+    assert sum(len(c.args[1]) for c in pairs.call_args_list) <= 2 * k * n
+    assert np.array_equal(g.knn_ids, np.argsort(np.where(np.eye(n, dtype=bool), np.inf,
+                                                         rows_sq_dists(rows, np.arange(n))),
+                                                axis=1, kind="stable")[:, :k])
 
 
 def test_weight_one_iff_coincident(rng):
@@ -718,6 +740,27 @@ def test_dump_from_edges_equals_json_dumps_reference(n, k, edges):
     buf = io.StringIO()
     dump_graph(g, buf)
     assert buf.getvalue() == dump_graph_reference(g)
+
+
+def _set_slot(g, i, c, j, w):
+    g.knn_ids[i, c], g.mutual[i, c], g.weights[i, c] = j, True, w
+
+
+@pytest.mark.parametrize("defect", [
+    lambda g: g.weights.__setitem__((1, 0), np.nextafter(0.5, 1.0)),  # ends differ by one ulp
+    lambda g: _set_slot(g, 3, 0, 0, 0.5),  # node 0 does not list 3 back
+    lambda g: (_set_slot(g, 2, 1, 3, 0.1), _set_slot(g, 3, 0, 0, 0.5)),  # as many high ends as low
+    lambda g: (_set_slot(g, 0, 1, 1, 0.5), _set_slot(g, 1, 1, 0, 0.5),
+               g.mutual.__setitem__((2, 0), False)),  # 0 and 1 list each other twice
+    lambda g: _set_slot(g, 3, 0, 3, 1.0),  # self loop
+])
+def test_dump_rejects_edges_not_listed_once_from_both_ends(defect):
+    # the dump copies each edge's text from its low end to its high end, so a
+    # graph whose ends disagree must be refused, not written as consistent
+    g = MutualKnnGraph.from_edges(4, 2, {(0, 1): 0.5, (1, 2): 0.25})
+    defect(g)
+    with pytest.raises(DomainError, match="both ends"):
+        dump_graph(g, io.StringIO())
 
 
 def _dump_lines(records):
