@@ -26,14 +26,12 @@ from .store import (
     EmbeddingTable,
     ScoreLedger,
     SelectionConfig,
+    check_keys,
     ingest_embeddings,
     load_score_stream,
     write_embeddings,
     write_score_stream,
 )
-
-_RUN_KEYS = {"strategy", "total_steps", "warmup_steps"}
-_SIM_KEYS = {"n", "dim", "classes", "cluster_spread", "learning_rate", "drift_rate"}
 
 
 def _atomic_write(path: str, payload: str | bytes) -> None:
@@ -67,9 +65,7 @@ def load_run_config(path: str):
         raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    unknown = sorted(set(raw) - {"selection", "run", "simulator"})
-    if unknown:
-        raise ConfigError(f"unknown config key '{unknown[0]}' at the top level")
+    check_keys(raw, ("selection", "run", "simulator"), (), "at the top level")
     for block in ("selection", "run", "simulator"):
         if block not in raw or not isinstance(raw[block], dict):
             raise ConfigError(f"config key '{block}' must be present and a JSON object")
@@ -77,11 +73,8 @@ def load_run_config(path: str):
     cfg = SelectionConfig.from_dict(raw["selection"])
 
     run_block = raw["run"]
-    unknown = sorted(set(run_block) - _RUN_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key '{unknown[0]}' in run block")
-    if "total_steps" not in run_block:
-        raise ConfigError("config key 'total_steps' is required in run block")
+    check_keys(run_block, ("strategy", "total_steps", "warmup_steps"), ("total_steps",),
+               "in run block")
     strategy = run_block.get("strategy", "adaptive")
     if strategy not in STRATEGIES:
         raise ConfigError(f"config key 'strategy' must be one of {list(STRATEGIES)}, "
@@ -92,17 +85,12 @@ def load_run_config(path: str):
         warmup_steps = int(warmup_steps)
 
     sim_block = raw["simulator"]
-    unknown = sorted(set(sim_block) - _SIM_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown config key '{unknown[0]}' in simulator block")
-    for key in ("n", "dim", "classes"):
-        if key not in sim_block:
-            raise ConfigError(f"config key '{key}' is required in simulator block")
+    check_keys(sim_block, ("n", "dim", "classes", "cluster_spread", "learning_rate", "drift_rate"),
+               ("n", "dim", "classes"), "in simulator block")
     return cfg, strategy, total_steps, warmup_steps, sim_block
 
 
 def _build_sim(cfg: SelectionConfig, sim_block: dict) -> SimState:
-    drift = float(sim_block.get("drift_rate", 0.0))
     return SimState.create(
         n=int(sim_block["n"]),
         dim=int(sim_block["dim"]),
@@ -110,7 +98,7 @@ def _build_sim(cfg: SelectionConfig, sim_block: dict) -> SimState:
         cluster_spread=float(sim_block.get("cluster_spread", 1.0)),
         learning_rate=float(sim_block.get("learning_rate", 0.1)),
         seed=cfg.seed,
-        drift=drift if drift != 0.0 else None,
+        drift=float(sim_block.get("drift_rate", 0.0)),
     )
 
 
@@ -152,7 +140,7 @@ def cmd_simulate(args) -> int:
         cluster_spread=args.cluster_spread,
         learning_rate=args.learning_rate,
         seed=args.seed,
-        drift=args.drift_rate if args.drift_rate != 0.0 else None,
+        drift=args.drift_rate,
     )
     rng = np.random.default_rng(args.seed)
     batch = min(64, sim.n)

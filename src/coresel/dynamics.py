@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import DataError, DomainError
 from .knn_graph import MutualKnnGraph, LshIndex, repair_graph, require_directed_lists
-from .store import EmbeddingTable, ScoreLedger
+from .store import EmbeddingTable, ScoreLedger, id_set
 
 AFFINITY_SCORE_SCALE = 0.1  # exp(-0.1 * |score gap|) factor of the affinity
 
@@ -62,9 +62,10 @@ def discrepancy_check(ledger: ScoreLedger, sample_set, t_c_window, lambda_c: flo
     """
     if not 0.0 < lambda_c < 1.0:
         raise DomainError(f"lambda_c must be in (0, 1), got {lambda_c}")
-    ids = np.array(sorted(int(i) for i in sample_set), dtype=np.int64)
+    ids = np.sort(np.asarray(sample_set, dtype=np.int64))
     if not ids.size:
         raise DomainError("sample_set must be nonempty")
+    id_set(ids, ledger.n, "sample id")  # the range check; repeats count as often as given
     window = sorted(int(t) for t in t_c_window)
     if not window:
         return 0.0
@@ -142,12 +143,9 @@ def affinity(g: MutualKnnGraph, ledger: ScoreLedger, i, j):
 def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
                            beta_aff: float) -> dict[int, tuple[int, ...]]:
     """For each non-anchor: its anchor neighbors with affinity above the threshold."""
-    anchor_ids = np.sort(np.fromiter((int(a) for a in anchors), dtype=np.int64))
-    if anchor_ids.size and not (0 <= anchor_ids[0] and anchor_ids[-1] < g.n):
-        raise DomainError(f"anchor ids must lie in [0, {g.n})")
-    is_anchor = np.zeros(g.n, dtype=bool)  # np.unique and np.isin import numpy.ma (1.7 MB)
+    anchor_ids = id_set(anchors, g.n, "anchor id")
+    is_anchor = np.zeros(g.n, dtype=bool)
     is_anchor[anchor_ids] = True
-    anchor_ids = np.flatnonzero(is_anchor)
     slots = g.mutual[anchor_ids]  # mutual slots hold no -1 padding: nodes index is_anchor
     nodes, owners = g.knn_ids[anchor_ids][slots], np.repeat(anchor_ids, slots.sum(axis=1))
     keep = ~is_anchor[nodes] & (affinity(g, ledger, nodes, owners) > beta_aff)
@@ -246,11 +244,11 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     (DataError) to an error inside the repair, leaves emb and ledger as they
     were. ``lsh`` holds only hyperplanes, so no check changes it.
     """
-    core = sorted(int(i) for i in last_core)
-    if not core:
+    core = id_set(last_core, ledger.n, "core id")
+    if not core.size:
         raise DomainError("last_core must be nonempty")
     current_step = int(provider.step)
-    n_probe = min(cfg.n_s_check, len(core))
+    n_probe = min(cfg.n_s_check, core.size)
     probe = np.sort(rng.choice(core, size=n_probe, replace=False))
 
     stale = probe[ledger.steps[probe, -1] < current_step]

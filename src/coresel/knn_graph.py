@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, FormatError
-from .store import EmbeddingTable, opened
+from .store import EmbeddingTable, id_set, opened
 
 WEIGHT_SCALE = 100.0
 
@@ -151,8 +151,8 @@ def _block_rows(n: int, d: int = 1) -> int:
     return max(1, _BLOCK_ELEMS // max(n * d, 1))
 
 
-def _sq_dists_from(x, rows) -> np.ndarray:
-    """Squared distances from the rows ``x[rows]`` to every row of ``x``, in row blocks.
+def rows_sq_dists(x, rows) -> np.ndarray:
+    """Squared distances from the given row indices to every point, (len(rows), n), in row blocks.
 
     Each entry is the sum of squared coordinate differences, so d2(i, j) and
     d2(j, i) are bitwise equal and d2(i, i) is exactly 0.
@@ -172,12 +172,7 @@ def _sq_dists_from(x, rows) -> np.ndarray:
 
 def pairwise_sq_dists(x) -> np.ndarray:
     """All-pairs squared Euclidean distances, (n, n), symmetric with an exact zero diagonal."""
-    return _sq_dists_from(x, np.arange(np.shape(x)[0]))
-
-
-def rows_sq_dists(x, rows) -> np.ndarray:
-    """Squared distances from the given row indices to every point, (len(rows), n)."""
-    return _sq_dists_from(x, rows)
+    return rows_sq_dists(x, np.arange(np.shape(x)[0]))
 
 
 def _pair_sq_dists(x: np.ndarray, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -361,17 +356,13 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     exactly equal to a full rebuild. Unchanged nodes whose membership cannot
     have moved keep their lists; edges between them are left as they were.
     """
-    changed_ids = np.sort(np.fromiter((int(c) for c in changed), dtype=np.int64))
+    changed_ids = id_set(changed, g.n, "changed id")
     if not changed_ids.size:
         return g
     n, k = g.n, g.k
-    bad = changed_ids[(changed_ids < 0) | (changed_ids >= n)]
-    if bad.size:
-        raise DomainError(f"changed id {bad[0]} out of range [0, {n})")
     require_directed_lists(g)
-    moved = np.zeros(n, dtype=bool)  # np.unique and np.isin import numpy.ma (1.7 MB)
+    moved = np.zeros(n, dtype=bool)
     moved[changed_ids] = True
-    changed_ids = np.flatnonzero(moved)
 
     screen = _Screen.of(emb.rows)
     sigs = None if idx is None else idx.signatures(emb.rows)

@@ -12,7 +12,7 @@ malformed or non-finite provider output raises DataError before any use.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -36,17 +36,6 @@ class IntervalRecord:
     losses: list[float]
     check: dict | None
 
-    def to_dict(self) -> dict:
-        return {
-            "start_step": self.start_step,
-            "end_step": self.end_step,
-            "members": self.members,
-            "objective": self.objective,
-            "gains": self.gains,
-            "losses": self.losses,
-            "check": self.check,
-        }
-
 
 @dataclass
 class RunReport:
@@ -62,16 +51,11 @@ class RunReport:
     plans: list[UpdatePlan] = field(default_factory=list, repr=False)
 
     def to_dict(self) -> dict:
-        return {
-            "strategy": self.strategy,
-            "seed": self.seed,
-            "config": self.config,
-            "total_steps": self.total_steps,
-            "warmup_steps": self.warmup_steps,
-            "warmup_losses": self.warmup_losses,
-            "intervals": [rec.to_dict() for rec in self.intervals],
-            "final_loss": self.final_loss,
-        }
+        """The report document: every field in order, but not the timings or the plans."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self)
+               if f.name not in ("stage_seconds", "plans")}
+        doc["intervals"] = [asdict(rec) for rec in self.intervals]
+        return doc
 
     def update_events(self) -> list[dict]:
         return [plan.event() for plan in self.plans]
@@ -104,7 +88,6 @@ def default_warmup(total_steps: int) -> int:
 
 def _resolve_steps(cfg: SelectionConfig, provider, total_steps: int,
                    warmup_steps: int | None) -> int:
-    cfg.validate()
     cfg.validate_for_dataset(provider.n)
     if total_steps < cfg.t_c:
         raise ConfigError(f"total_steps ({total_steps}) must be >= t_c ({cfg.t_c})")
@@ -164,18 +147,18 @@ def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
         stage_seconds["select"] += time.perf_counter() - t0
 
         t0 = time.perf_counter()
+        members = np.asarray(selection.members, dtype=np.int64)  # insertion order
         losses = []
         for _ in range(interval_len):
-            losses.append(provider.train_step(selection.members))
-            _, member_scores = extract_checked(provider, selection.members, emb.d)
-            ledger.record(selection.members, provider.step, member_scores)
+            losses.append(provider.train_step(members))
+            _, member_scores = extract_checked(provider, members, emb.d)
+            ledger.record(members, provider.step, member_scores)
         stage_seconds["train"] += time.perf_counter() - t0
 
         check = None
         if interval_len == cfg.t_c:
             t0 = time.perf_counter()
-            plan, graph = check_and_update(graph, emb, ledger, selection.members,
-                                           provider, cfg, rng, lsh)
+            plan, graph = check_and_update(graph, emb, ledger, members, provider, cfg, rng, lsh)
             stage_seconds["check"] += time.perf_counter() - t0
             plans.append(plan)
             check = plan.event()

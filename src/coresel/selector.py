@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ResourceError
-from .store import EmbeddingTable
+from .store import EmbeddingTable, id_set
 
 BRUTE_FORCE_LIMIT = 10 ** 6
 # Columns per chunk of the gain kernel: (64, n) temporaries, not (n, n).
@@ -49,8 +49,6 @@ class CoresetSelection:
 
 
 def _unit_rows(emb: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
-    if ids.size and int(ids[-1]) >= emb.n:
-        raise DomainError(f"sample {int(ids[-1])} out of range [0, {emb.n})")
     rows = emb.rows[ids]
     norms = np.linalg.norm(rows, axis=1)
     zero = np.nonzero(norms == 0.0)[0]
@@ -59,17 +57,17 @@ def _unit_rows(emb: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     return rows / norms[:, None]
 
 
-def _as_sorted_ids(values, what: str) -> np.ndarray:
-    ids = np.sort(np.fromiter(values, dtype=np.int64))
-    if ids.size and (ids[0] < 0 or (np.diff(ids) == 0).any()):  # np.unique imports numpy.ma
-        raise DomainError(f"{what} must be distinct non-negative sample ids")
+def _distinct_ids(values, n: int, what: str) -> np.ndarray:
+    ids = id_set(values, n, what)
+    if ids.size != len(values):
+        raise DomainError(f"{what}s must be distinct")
     return ids
 
 
 def representation_score(core, pool, emb: EmbeddingTable) -> float:
     """Sum over the pool of each sample's best cosine similarity to the core."""
-    core_ids = _as_sorted_ids(core, "core")
-    pool_ids = _as_sorted_ids(pool, "pool")
+    core_ids = _distinct_ids(core, emb.n, "core id")
+    pool_ids = _distinct_ids(pool, emb.n, "pool id")
     if core_ids.size == 0:
         return 0.0
     pool_unit = _unit_rows(emb, pool_ids)
@@ -81,7 +79,7 @@ def coreset_objective(core, pool, emb: EmbeddingTable, warped, lambda_blend: flo
     if not 0.0 <= lambda_blend <= 1.0:
         raise DomainError(f"lambda_blend must be in [0, 1], got {lambda_blend}")
     warped = np.asarray(warped, dtype=np.float64)
-    core_ids = _as_sorted_ids(core, "core")
+    core_ids = _distinct_ids(core, emb.n, "core id")
     importance = float(warped[core_ids].sum()) if core_ids.size else 0.0
     return lambda_blend * representation_score(core_ids, pool, emb) + (1.0 - lambda_blend) * importance
 
@@ -155,7 +153,7 @@ def select_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
     Ties break toward the smaller sample id; the returned gains sequence is
     the per-round marginal gain in insertion order.
     """
-    cand = _as_sorted_ids(candidates, "candidates")
+    cand = _distinct_ids(candidates, emb.n, "candidate id")
     if cand.size == 0:
         raise DomainError("candidates must be nonempty")
     if not 1 <= budget_b <= cand.size:
@@ -175,7 +173,7 @@ def select_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
 def brute_force_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
                         lambda_blend: float) -> CoresetSelection:
     """Exact maximizer by exhaustive enumeration (oracle for small instances)."""
-    cand = _as_sorted_ids(candidates, "candidates")
+    cand = _distinct_ids(candidates, emb.n, "candidate id")
     if cand.size == 0:
         raise DomainError("candidates must be nonempty")
     if not 1 <= budget_b <= cand.size:

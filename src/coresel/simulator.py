@@ -15,6 +15,7 @@ import numpy as np
 
 from .errors import DomainError
 from .scoring import el2n_from_probs
+from .store import id_set
 
 MEAN_SEPARATION = 3.0
 
@@ -97,7 +98,7 @@ class SimState:
         An active drift schedule shifts every sample along its class direction
         before the gradient is computed.
         """
-        ids = np.asarray(sorted(set(int(b) for b in batch)), dtype=np.int64)
+        ids = id_set(batch, self.n, "sample id")
         if ids.size == 0:
             raise DomainError("batch must be nonempty")
         m = self._drift_magnitude()
@@ -117,9 +118,8 @@ class SimState:
 
     def extract_features(self, ids) -> tuple[np.ndarray, np.ndarray]:
         """Logit-vector embeddings and EL2N scores for the given samples."""
-        ids = np.asarray([int(i) for i in ids], dtype=np.int64)
-        if np.any(ids < 0) or np.any(ids >= self.n):
-            raise DomainError("sample id out of range")
+        ids = np.asarray(ids, dtype=np.int64)
+        id_set(ids, self.n, "sample id")  # the range check; rows keep the given order
         logits = self.data[ids] @ self.weights.T
         probs = softmax(logits)
         scores = el2n_from_probs(probs, self.labels[ids])

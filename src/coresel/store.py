@@ -34,6 +34,23 @@ _HEADER = struct.Struct("<4sIQI")
 _READ_CHUNK = 1 << 16
 
 
+def id_set(values, n: int, what: str) -> np.ndarray:
+    """The distinct ids in ``values``, sorted, as int64; DomainError names the first
+    one, in the given order, outside [0, n).
+
+    An ndarray is taken whole, with no Python loop. Repeats collapse through an
+    (n,) mask: np.unique and np.isin import numpy.ma (about 1.7 MB) on first use.
+    """
+    ids = (values.astype(np.int64, copy=False) if isinstance(values, np.ndarray)
+           else np.fromiter(values, dtype=np.int64))
+    bad = (ids < 0) | (ids >= n)
+    if bad.any():
+        raise DomainError(f"{what} {ids[bad][0]} out of range [0, {n})")
+    seen = np.zeros(n, dtype=bool)
+    seen[ids] = True
+    return np.flatnonzero(seen)
+
+
 class EmbeddingTable:
     """Per-sample embedding vectors, one row per sample, all finite."""
 
@@ -152,19 +169,17 @@ class ScoreLedger:
             raise DomainError(f"record needs one score per id, got {vals.shape} for {ids.shape}")
         if not ids.size:
             return
+        if id_set(ids, self.n, "sample id").size != ids.size:
+            raise DomainError("sample ids of one record call must be distinct")
         at = np.broadcast_to(np.asarray(step), ids.shape)
-        ok = (ids >= 0) & (ids < self.n) & (at >= 0) & np.isfinite(vals) & (vals >= 0.0)
+        ok = (at >= 0) & np.isfinite(vals) & (vals >= 0.0)
         if not ok.all():
             i, t, v = ids[~ok][0], at[~ok][0], float(vals[~ok][0])
-            if not 0 <= i < self.n:
-                raise DomainError(f"sample id {i} out of range [0, {self.n})")
             if t < 0:
                 raise DomainError(f"step for sample {i} must be >= 0, got {t}")
             if not np.isfinite(v):
                 raise DomainError(f"score for sample {i} must be finite, got {v!r}")
             raise DomainError(f"score for sample {i} must be >= 0, got {v}")
-        if (np.diff(np.sort(ids)) == 0).any():  # np.unique would import numpy.ma (~1.7 MB)
-            raise DomainError("sample ids of one record call must be distinct")
         last = self.steps[ids, -1]
         same = (at == last) & replace
         late = (at <= last) & ~same
@@ -260,6 +275,17 @@ def write_score_stream(ledger: ScoreLedger, target) -> None:
             ids.tolist(), ledger.steps[ids, slots].tolist(), ledger.scores[ids, slots].tolist())))
 
 
+def check_keys(block: dict, known, required, where: str) -> None:
+    """ConfigError unless ``block`` has only the keys of ``known`` and every
+    ``required`` one among them; ``where`` ends each message."""
+    unknown = sorted(set(block) - set(known))
+    if unknown:
+        raise ConfigError(f"unknown config key '{unknown[0]}' {where}")
+    missing = [key for key in required if key not in block]
+    if missing:
+        raise ConfigError(f"config key '{missing[0]}' is required {where}")
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Every hyperparameter of the selection and update machinery."""
@@ -329,13 +355,8 @@ class SelectionConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SelectionConfig":
-        known = {f.name for f in fields(cls)}
-        unknown = sorted(set(raw) - known)
-        if unknown:
-            raise ConfigError(f"unknown config key '{unknown[0]}' in selection block")
-        missing = [name for name in ("budget_b", "n_s", "budget_eta") if name not in raw]
-        if missing:
-            raise ConfigError(f"config key '{missing[0]}' is required in selection block")
+        check_keys(raw, {f.name for f in fields(cls)}, ("budget_b", "n_s", "budget_eta"),
+                   "in selection block")
         return cls(**raw)
 
     def to_dict(self) -> dict:
