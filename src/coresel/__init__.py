@@ -40,7 +40,6 @@ from .scoring import (
 )
 from .selector import (
     CoresetSelection,
-    brute_force_coreset,
     coreset_objective,
     representation_score,
     select_coreset,

@@ -56,6 +56,11 @@ def _emit(text: str, out_path: str | None) -> None:
         _atomic_write(out_path, text)
 
 
+def _jsonl(records) -> str:
+    """One strict JSON object per line: a NaN or infinity raises instead of being written."""
+    return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records)
+
+
 def load_run_config(path: str):
     """Parse and validate the nested run-config document."""
     try:
@@ -65,40 +70,34 @@ def load_run_config(path: str):
         raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
-    check_keys(raw, ("selection", "run", "simulator"), (), "at the top level")
-    for block in ("selection", "run", "simulator"):
-        if block not in raw or not isinstance(raw[block], dict):
-            raise ConfigError(f"config key '{block}' must be present and a JSON object")
-
+    blocks = ("selection", "run", "simulator")
+    check_keys(raw, dict.fromkeys(blocks, dict), blocks, "at the top level")
     cfg = SelectionConfig.from_dict(raw["selection"])
 
     run_block = raw["run"]
-    check_keys(run_block, ("strategy", "total_steps", "warmup_steps"), ("total_steps",),
-               "in run block")
+    check_keys(run_block, {"strategy": str, "total_steps": int, "warmup_steps": int},
+               ("total_steps",), "in run block")
     strategy = run_block.get("strategy", "adaptive")
     if strategy not in STRATEGIES:
         raise ConfigError(f"config key 'strategy' must be one of {list(STRATEGIES)}, "
                           f"got '{strategy}'")
-    total_steps = int(run_block["total_steps"])
-    warmup_steps = run_block.get("warmup_steps")
-    if warmup_steps is not None:
-        warmup_steps = int(warmup_steps)
 
     sim_block = raw["simulator"]
-    check_keys(sim_block, ("n", "dim", "classes", "cluster_spread", "learning_rate", "drift_rate"),
+    check_keys(sim_block, {"n": int, "dim": int, "classes": int, "cluster_spread": float,
+                           "learning_rate": float, "drift_rate": float},
                ("n", "dim", "classes"), "in simulator block")
-    return cfg, strategy, total_steps, warmup_steps, sim_block
+    return cfg, strategy, run_block["total_steps"], run_block.get("warmup_steps"), sim_block
 
 
 def _build_sim(cfg: SelectionConfig, sim_block: dict) -> SimState:
     return SimState.create(
-        n=int(sim_block["n"]),
-        dim=int(sim_block["dim"]),
-        classes=int(sim_block["classes"]),
-        cluster_spread=float(sim_block.get("cluster_spread", 1.0)),
-        learning_rate=float(sim_block.get("learning_rate", 0.1)),
+        n=sim_block["n"],
+        dim=sim_block["dim"],
+        classes=sim_block["classes"],
+        cluster_spread=sim_block.get("cluster_spread", 1.0),
+        learning_rate=sim_block.get("learning_rate", 0.1),
         seed=cfg.seed,
-        drift=float(sim_block.get("drift_rate", 0.0)),
+        drift=sim_block.get("drift_rate", 0.0),
     )
 
 
@@ -126,7 +125,7 @@ def cmd_select(args) -> int:
     warped = selection_scores(ledger, cfg)
     selection = select_coreset(range(emb.n), args.budget, emb, warped, args.lambda_blend)
     step = max(int(ledger.steps[:, -1].max()), 0)
-    _emit(json.dumps(selection.to_event(step)) + "\n", args.out)
+    _emit(_jsonl([selection.to_event(step)]), args.out)
     print(f"selected {len(selection.members)} of {emb.n} "
           f"objective={selection.objective_value:.6f}", file=sys.stderr)
     return 0
@@ -166,7 +165,7 @@ def cmd_check(args) -> int:
     sim = _build_sim(cfg, sim_block)
     report = run("adaptive", cfg, sim, warmup_steps + cfg.t_c, warmup_steps)
     events = report.update_events()
-    _emit("".join(json.dumps(e) + "\n" for e in events), args.out)
+    _emit(_jsonl(events), args.out)
     print(f"check at step {events[0]['step']}: triggered={events[0]['triggered']}",
           file=sys.stderr)
     return 0
@@ -177,12 +176,11 @@ def cmd_run(args) -> int:
     sim = _build_sim(cfg, sim_block)
     report = run(strategy, cfg, sim, total_steps, warmup_steps)
     os.makedirs(args.out_dir, exist_ok=True)
+    # not strict: the report echoes the config as given, and "delta": Infinity is legal
     _atomic_write(os.path.join(args.out_dir, "report.json"),
-                       json.dumps(report.to_dict(), indent=2) + "\n")
-    _atomic_write(os.path.join(args.out_dir, "events.jsonl"),
-                       "".join(json.dumps(e) + "\n" for e in report.update_events()))
-    _atomic_write(os.path.join(args.out_dir, "selections.jsonl"),
-                       "".join(json.dumps(e) + "\n" for e in report.selection_events()))
+                  json.dumps(report.to_dict(), indent=2) + "\n")
+    _atomic_write(os.path.join(args.out_dir, "events.jsonl"), _jsonl(report.update_events()))
+    _atomic_write(os.path.join(args.out_dir, "selections.jsonl"), _jsonl(report.selection_events()))
     timings = " ".join(f"{k}={v:.2f}s" for k, v in report.stage_seconds.items())
     print(f"strategy={strategy} final_loss={report.final_loss:.6f} {timings}",
           file=sys.stderr)
@@ -272,6 +270,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

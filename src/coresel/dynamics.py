@@ -42,7 +42,7 @@ class UpdatePlan:
     def event(self) -> dict:
         return {
             "step": self.step,
-            "delta_I": self.delta_I,
+            "delta_I": self.delta_I if math.isfinite(self.delta_I) else None,  # +inf: undefined
             "triggered": self.triggered,
             "recal": list(self.recal_set),
             "delta_H": self.delta_H,

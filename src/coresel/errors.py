@@ -34,6 +34,6 @@ class FormatError(DataError):
 
 
 class ResourceError(CoreselError):
-    """A computation would exceed its configured resource guard (exit 4)."""
+    """A computation needs more memory than it could get (exit 4)."""
 
     exit_code = 4

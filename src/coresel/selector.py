@@ -3,8 +3,7 @@
 The objective of a coreset is lambda * (sum over the candidate pool of each
 sample's best cosine similarity to a coreset member) + (1 - lambda) * (sum of
 the members' warped importance scores). Greedy selection picks the maximum
-marginal gain each round; a brute-force enumerator serves as the optimality
-oracle for the (1 - 1/e) guarantee.
+marginal gain each round.
 
 The greedy is Minoux's lazy greedy and returns what the full-pass loop would,
 bit for bit. Rounds 0 and 1 evaluate every column; later rounds keep stale
@@ -17,8 +16,6 @@ size (n, n) is allocated.
 
 from __future__ import annotations
 
-import itertools
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,7 +23,6 @@ import numpy as np
 from .errors import DomainError, ResourceError
 from .store import EmbeddingTable, id_set
 
-BRUTE_FORCE_LIMIT = 10 ** 6
 # Columns per chunk of the gain kernel: (64, n) temporaries, not (n, n).
 _BLOCK_ROWS = 64
 # Stale entries the greedy re-evaluates at once from the top of its bounds.
@@ -163,40 +159,13 @@ def select_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
     warped = np.asarray(warped, dtype=np.float64)
 
     unit = _unit_rows(emb, cand)
-    cos_sim = unit @ unit.T
+    try:
+        cos_sim = unit @ unit.T
+    except MemoryError as exc:
+        raise ResourceError(f"the cosine matrix of {cand.size} candidates needs "
+                            f"{8 * cand.size ** 2} bytes, which could not be allocated") from exc
     local_members, gains = greedy_select(cos_sim, warped[cand], lambda_blend, budget_b)
     members = [int(cand[m]) for m in local_members]
     objective = coreset_objective(members, cand, emb, warped, lambda_blend)
     return CoresetSelection(members=members, objective_value=objective, gains=[float(x) for x in gains])
 
-
-def brute_force_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
-                        lambda_blend: float) -> CoresetSelection:
-    """Exact maximizer by exhaustive enumeration (oracle for small instances)."""
-    cand = _distinct_ids(candidates, emb.n, "candidate id")
-    if cand.size == 0:
-        raise DomainError("candidates must be nonempty")
-    if not 1 <= budget_b <= cand.size:
-        raise DomainError(f"budget_b must be in [1, {cand.size}], got {budget_b}")
-    n_subsets = math.comb(int(cand.size), int(budget_b))
-    if n_subsets > BRUTE_FORCE_LIMIT:
-        raise ResourceError(
-            f"brute force over C({cand.size}, {budget_b}) = {n_subsets} subsets "
-            f"exceeds the {BRUTE_FORCE_LIMIT} limit"
-        )
-    warped = np.asarray(warped, dtype=np.float64)
-    unit = _unit_rows(emb, cand)
-    cos_sim = unit @ unit.T
-    warped_local = warped[cand]
-
-    best_subset = None
-    best_value = -np.inf
-    for subset in itertools.combinations(range(cand.size), budget_b):
-        cols = np.asarray(subset)
-        value = (lambda_blend * float(cos_sim[:, cols].max(axis=1).sum())
-                 + (1.0 - lambda_blend) * float(warped_local[cols].sum()))
-        if value > best_value:  # strict: first (lexicographic) subset wins ties
-            best_value = value
-            best_subset = cols
-    members = [int(cand[m]) for m in best_subset]
-    return CoresetSelection(members=members, objective_value=float(best_value), gains=[])

@@ -4,6 +4,11 @@ The ledger keeps a fixed window of recent entries per sample: t_c + 1 in an
 adaptive run, every entry a drift check reads, and 1 by default, so ``coresel
 select`` keeps each sample's latest score. No config key sets the window.
 
+Sample ids are integers in [0, n). ``id_set`` checks each collection of them
+that a layer takes: the ledger, the simulator, the selector, the drift check,
+anchor qualification and graph repair raise DomainError naming the first id
+outside that range, so -1 never stands for the last sample.
+
 Embedding file (binary): magic ``GRCE``, format version u32=1, n as u64, d as
 u32, then n*d little-endian float32 values in row-major order. Score stream
 (text): one JSON object per line with keys ``id``, ``step``, ``score``.
@@ -15,6 +20,7 @@ import json
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
+from typing import get_type_hints
 
 import numpy as np
 
@@ -275,15 +281,29 @@ def write_score_stream(ledger: ScoreLedger, target) -> None:
             ids.tolist(), ledger.steps[ids, slots].tolist(), ledger.scores[ids, slots].tolist())))
 
 
-def check_keys(block: dict, known, required, where: str) -> None:
-    """ConfigError unless ``block`` has only the keys of ``known`` and every
-    ``required`` one among them; ``where`` ends each message."""
+# Python type of a config key -> the JSON values it takes, and their name.
+_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
+               bool: ((bool,), "true or false"), str: ((str,), "a string"),
+               dict: ((dict,), "a JSON object")}
+
+
+def check_keys(block: dict, known: dict, required, where: str) -> None:
+    """ConfigError unless ``block`` has only the keys of ``known``, every ``required``
+    one among them, and each value of the type ``known`` gives its key.
+
+    An int key takes a JSON integer and a float key any JSON number; neither
+    takes true or false. ``where`` ends the unknown and missing-key messages.
+    """
     unknown = sorted(set(block) - set(known))
     if unknown:
         raise ConfigError(f"unknown config key '{unknown[0]}' {where}")
     missing = [key for key in required if key not in block]
     if missing:
         raise ConfigError(f"config key '{missing[0]}' is required {where}")
+    for key, value in block.items():
+        kinds, name = _JSON_KINDS[known[key]]
+        if type(value) not in kinds:
+            raise ConfigError(f"config key '{key}' must be {name}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -355,8 +375,7 @@ class SelectionConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "SelectionConfig":
-        check_keys(raw, {f.name for f in fields(cls)}, ("budget_b", "n_s", "budget_eta"),
-                   "in selection block")
+        check_keys(raw, get_type_hints(cls), ("budget_b", "n_s", "budget_eta"), "in selection block")
         return cls(**raw)
 
     def to_dict(self) -> dict:

@@ -1,14 +1,18 @@
 """Shared fixtures and reference oracles used across the suite."""
 
 import io
+import itertools
 import json
 import math
 
 import numpy as np
 import pytest
 
-from coresel.errors import FormatError
+from coresel.errors import FormatError, ResourceError
+from coresel.selector import CoresetSelection
 from coresel.store import EmbeddingTable
+
+BRUTE_FORCE_LIMIT = 10 ** 6
 
 
 @pytest.fixture
@@ -203,6 +207,31 @@ def representation_reference(core, pool, emb: EmbeddingTable) -> float:
             best = max(best, float(vi @ vj) / (ni * np.linalg.norm(vj)))
         total += best
     return total
+
+
+def brute_force_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
+                        lambda_blend: float) -> CoresetSelection:
+    """Exact maximizer of the blended objective by exhaustive enumeration: the
+    optimality oracle for the greedy's (1 - 1/e) guarantee. The first subset in
+    lexicographic order wins ties; ResourceError beyond BRUTE_FORCE_LIMIT subsets."""
+    cand = np.asarray(sorted(candidates), dtype=np.int64)
+    n_subsets = math.comb(cand.size, budget_b)
+    if n_subsets > BRUTE_FORCE_LIMIT:
+        raise ResourceError(f"brute force over C({cand.size}, {budget_b}) = {n_subsets} subsets "
+                            f"exceeds the {BRUTE_FORCE_LIMIT} limit")
+    rows = emb.rows[cand]
+    unit = rows / np.linalg.norm(rows, axis=1)[:, None]
+    cos_sim = unit @ unit.T
+    warped_local = np.asarray(warped, dtype=np.float64)[cand]
+    best_subset, best_value = None, -np.inf
+    for subset in itertools.combinations(range(cand.size), budget_b):
+        cols = np.asarray(subset)
+        value = (lambda_blend * float(cos_sim[:, cols].max(axis=1).sum())
+                 + (1.0 - lambda_blend) * float(warped_local[cols].sum()))
+        if value > best_value:
+            best_subset, best_value = cols, value
+    return CoresetSelection(members=[int(cand[m]) for m in best_subset],
+                            objective_value=float(best_value), gains=[])
 
 
 def greedy_reference(cos_sim, warped, lam: float, budget: int):

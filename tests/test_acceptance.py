@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import mutual_knn_oracle, positive_table
+from conftest import brute_force_coreset, mutual_knn_oracle, positive_table
 from coresel.cli import main as cli_main
 from coresel.dynamics import propagate_scores, qualifying_anchor_sets
 from coresel.knn_graph import build_graph, build_lsh_index, repair_graph
 from coresel.orchestrator import run_adaptive, run_baseline
 from coresel.scoring import WarpParams, warped_scores
-from coresel.selector import brute_force_coreset, coreset_objective, select_coreset
+from coresel.selector import coreset_objective, select_coreset
 from coresel.simulator import SimState
 from coresel.store import EmbeddingTable, ScoreLedger, SelectionConfig
 

@@ -7,6 +7,7 @@ import struct
 import numpy as np
 import pytest
 
+from coresel import cli, selector
 from coresel.cli import main
 from coresel.simulator import SimState
 from coresel.orchestrator import default_warmup
@@ -209,6 +210,41 @@ def test_run_rejects_history_cap_key(tmp_path, capsys):
     assert "history_cap" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("key, value, kind", [
+    ("budget_b", "4", "an integer"), ("budget_b", 4.5, "an integer"),
+    ("budget_b", True, "an integer"), ("n_s", None, "an integer"),
+    ("seed", 1.5, "an integer"), ("budget_eta", "0.1", "a number"),
+    ("delta", False, "a number"), ("normalize_warp", 1, "true or false"),
+])
+def test_run_rejects_selection_value_of_wrong_type(tmp_path, capsys, key, value, kind):
+    cfg = run_config(tmp_path, selection={key: value})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key '{key}' must be {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("total_steps", "abc", "an integer"), ("total_steps", None, "an integer"),
+    ("total_steps", 40.0, "an integer"), ("total_steps", True, "an integer"),
+    ("warmup_steps", "10", "an integer"), ("warmup_steps", None, "an integer"),
+    ("strategy", 3, "a string"),
+])
+def test_run_rejects_run_value_of_wrong_type(tmp_path, capsys, key, value, kind):
+    cfg = run_config(tmp_path, run={key: value})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key '{key}' must be {kind}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("key, value, kind", [
+    ("n", "sixty", "an integer"), ("n", 120.0, "an integer"), ("dim", True, "an integer"),
+    ("classes", None, "an integer"), ("cluster_spread", "1.0", "a number"),
+    ("learning_rate", True, "a number"), ("drift_rate", None, "a number"),
+])
+def test_run_rejects_simulator_value_of_wrong_type(tmp_path, capsys, key, value, kind):
+    cfg = run_config(tmp_path, simulator={key: value})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
+    assert f"config key '{key}' must be {kind}" in capsys.readouterr().err
+
+
 def test_run_rejects_unknown_strategy(tmp_path, capsys):
     cfg = run_config(tmp_path, run={"strategy": "sorted-by-vibes"})
     assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 2
@@ -278,6 +314,59 @@ def test_run_accepts_infinite_delta(tmp_path):
     assert main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 0
     events = [json.loads(l) for l in (out_dir / "events.jsonl").read_text().splitlines()]
     assert events and all(not e["triggered"] for e in events)
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+def test_run_writes_undefined_delta_as_null(tmp_path):
+    # a zero current score makes delta_I undefined (+inf), which used to be
+    # written as the bare token Infinity in every event and in report.json
+    doc = {
+        "selection": {"budget_b": 64, "n_s": 256, "budget_eta": 0.1, "delta": 0.05,
+                      "t_c": 25, "k": 10, "k_recal": 32, "seed": 5},
+        "run": {"strategy": "adaptive", "total_steps": 150, "warmup_steps": 50},
+        "simulator": {"n": 500, "dim": 16, "classes": 5, "cluster_spread": 100,
+                      "learning_rate": 50, "drift_rate": 0.02},
+    }
+    cfg = tmp_path / "config.json"
+    cfg.write_text(json.dumps(doc))
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", str(cfg), "--out-dir", str(out_dir)]) == 0
+    events = [json.loads(line, parse_constant=_reject_constant)
+              for line in (out_dir / "events.jsonl").read_text().splitlines()]
+    report = json.loads((out_dir / "report.json").read_text(), parse_constant=_reject_constant)
+    assert len(events) == 4 and all(e["delta_I"] is None and e["triggered"] for e in events)
+    assert [rec["check"] for rec in report["intervals"]] == events
+    for line in (out_dir / "selections.jsonl").read_text().splitlines():
+        json.loads(line, parse_constant=_reject_constant)
+
+
+def test_select_out_of_memory_is_resource_error(emb_file, scores_file, monkeypatch, capsys):
+    # the cosine matrix of a pool too large for memory: exit 4 with one line, no traceback
+    class NoRoom(np.ndarray):
+        def __matmul__(self, other):
+            raise MemoryError("Unable to allocate 6.71 GiB for an array")
+
+    unit_rows = selector._unit_rows
+    monkeypatch.setattr(selector, "_unit_rows", lambda emb, ids: unit_rows(emb, ids).view(NoRoom))
+    assert main(["select", "--embeddings", emb_file, "--scores", scores_file,
+                 "--budget", "5", "--eta", "0.1"]) == 4
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "100 candidates" in err and f"{8 * 100 ** 2} bytes" in err
+
+
+def test_other_out_of_memory_exits_4(tmp_path, emb_file, monkeypatch, capsys):
+    def no_room(emb, k):
+        raise MemoryError("Unable to allocate 1.00 GiB for an array")
+
+    monkeypatch.setattr(cli, "build_graph", no_room)
+    out = tmp_path / "graph.jsonl"
+    assert main(["build-graph", "--embeddings", emb_file, "--k", "5", "--out", str(out)]) == 4
+    assert capsys.readouterr().err == "error: out of memory: Unable to allocate 1.00 GiB for an array\n"
+    assert not out.exists()
 
 
 def test_select_raw_warp_flag(emb_file, scores_file, capsys):

@@ -140,6 +140,17 @@ def test_discrepancy_validates_inputs():
         discrepancy_check(ledger, [0], [1], 1.0, 5)
 
 
+@pytest.mark.parametrize("bad", [-1, 3])
+def test_discrepancy_rejects_ids_outside_range(bad):
+    # -1 used to read sample n - 1, and n raised a bare IndexError
+    ledger = ScoreLedger(3, window=2)
+    for i in range(3):
+        ledger.record(i, 1, 1.0)
+        ledger.record(i, 5, 2.0)
+    with pytest.raises(DomainError, match=f"sample id {bad} out of range"):
+        discrepancy_check(ledger, [0, bad], [1], 0.99, 5)
+
+
 # ---------------------------------------------------------------------------
 # uniqueness / update_priority / select_recal_set
 # ---------------------------------------------------------------------------
@@ -487,6 +498,19 @@ def test_check_frozen_provider_never_triggers():
         plan, graph = check_and_update(graph, emb, ledger, members, sim, cfg, rng)
         assert plan.delta_I == 0.0
         assert not plan.triggered
+
+
+def test_check_rejects_core_ids_outside_range():
+    # -1 used to probe sample n - 1, which trained last and so needed no extract
+    cfg = _cfg(delta=0.0, delta_h=0.0)
+    sim = SimState.create(n=100, dim=6, classes=3, learning_rate=0.3, seed=3, drift=0.05)
+    rng, emb, ledger, graph = _prepare(sim, cfg)
+    _train_interval(sim, ledger, list(range(68, 100)), cfg.t_c)
+    before = (emb.rows.copy(), ledger.steps.copy(), ledger.scores.copy())
+    with pytest.raises(DomainError, match="core id -1 out of range"):
+        check_and_update(graph, emb, ledger, [-1], sim, cfg, rng)
+    for saved, now in zip(before, (emb.rows, ledger.steps, ledger.scores)):
+        assert np.array_equal(saved, now)
 
 
 def test_check_triggered_scores_only_when_shift_small():

@@ -13,12 +13,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coresel
-from conftest import greedy_reference, positive_table, representation_reference
+from conftest import (
+    brute_force_coreset,
+    greedy_reference,
+    positive_table,
+    representation_reference,
+)
 from coresel.errors import DomainError, ResourceError
 from coresel.selector import (
     _coverage_gains,
     _unit_rows,
-    brute_force_coreset,
     coreset_objective,
     greedy_select,
     representation_score,

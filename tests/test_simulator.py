@@ -126,6 +126,15 @@ def test_converged_scores_below_untrained_mean():
     assert trained.mean() < untrained.mean()
 
 
+@pytest.mark.parametrize("bad", [-1, 10])
+def test_train_step_rejects_ids_outside_range(bad):
+    # -1 used to train on sample n - 1, and n raised a bare IndexError
+    sim = SimState.create(n=10, dim=4, classes=2, seed=0)
+    with pytest.raises(DomainError, match=f"sample id {bad} out of range"):
+        sim.train_step([3, bad])
+    assert sim.step == 0 and not sim.weights.any()
+
+
 def test_extract_rejects_bad_ids():
     sim = SimState.create(n=10, dim=4, classes=2, seed=0)
     with pytest.raises(DomainError):
