@@ -319,7 +319,7 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     return plan, new_graph
 
 
-def extract_checked(provider, ids: list[int], d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
+def extract_checked(provider, ids, d: int | None = None) -> tuple[np.ndarray, np.ndarray]:
     """``provider.extract_features(ids)``, checked before any of it is used.
 
     Raises DataError unless the rows are a finite (len(ids), d) array and the
