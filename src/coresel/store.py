@@ -17,6 +17,7 @@ u32, then n*d little-endian float32 values in row-major order. Score stream
 from __future__ import annotations
 
 import json
+import numbers
 import struct
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -244,8 +245,8 @@ def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
     The whole stream is parsed first; then one ``record`` call enters the
     k-th entry of every sample, with the checks of a line-by-line replay.
     FormatError names the first non-blank line that is not one JSON object
-    with numeric ``id``, ``step`` and ``score``, or whose id or step lies
-    outside int64.
+    with an integer ``id`` and ``step`` and a numeric ``score`` (none of them
+    true or false, none truncated), or whose id or step lies outside int64.
     """
     with opened(source, "r") as fh:
         lines = fh.readlines()
@@ -255,8 +256,12 @@ def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
             continue
         try:
             obj = json.loads(line)
-            i, t, v = int(obj["id"]), int(obj["step"]), float(obj["score"])
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError, OverflowError) as exc:
+            i, t, v = obj["id"], obj["step"], obj["score"]
+            if type(i) is not int or type(t) is not int or type(v) not in (int, float):
+                raise TypeError(f"id and step must be integers and score a number, "
+                                f"got {i!r}, {t!r}, {v!r}")
+            v = float(v)
+        except (json.JSONDecodeError, KeyError, TypeError, OverflowError) as exc:
             raise FormatError(f"score stream line {lineno} is malformed: {exc}") from exc
         if not (-_INT64_END <= i < _INT64_END and -_INT64_END <= t < _INT64_END):
             raise FormatError(f"score stream line {lineno} has id {i} or step {t} "
@@ -281,10 +286,18 @@ def write_score_stream(ledger: ScoreLedger, target) -> None:
             ids.tolist(), ledger.steps[ids, slots].tolist(), ledger.scores[ids, slots].tolist())))
 
 
-# Python type of a config key -> the JSON values it takes, and their name.
-_JSON_KINDS = {int: ((int,), "an integer"), float: ((int, float), "a number"),
-               bool: ((bool,), "true or false"), str: ((str,), "a string"),
-               dict: ((dict,), "a JSON object")}
+# Python type of a config key -> the values it takes, and their name. A JSON
+# value is exactly one of the Python types; a library caller may also pass
+# numpy scalars. No number takes true or false (bool is an int subclass).
+_KINDS = {int: (numbers.Integral, "an integer"), float: (numbers.Real, "a number"),
+          bool: ((bool, np.bool_), "true or false"), str: (str, "a string"),
+          dict: (dict, "a JSON object")}
+
+
+def _check_type(key: str, value, typ: type) -> None:
+    kinds, name = _KINDS[typ]
+    if not isinstance(value, kinds) or (typ is not bool and isinstance(value, bool)):
+        raise ConfigError(f"config key '{key}' must be {name}, got {value!r}")
 
 
 def check_keys(block: dict, known: dict, required, where: str) -> None:
@@ -301,9 +314,7 @@ def check_keys(block: dict, known: dict, required, where: str) -> None:
     if missing:
         raise ConfigError(f"config key '{missing[0]}' is required {where}")
     for key, value in block.items():
-        kinds, name = _JSON_KINDS[known[key]]
-        if type(value) not in kinds:
-            raise ConfigError(f"config key '{key}' must be {name}, got {value!r}")
+        _check_type(key, value, known[key])
 
 
 @dataclass(frozen=True)
@@ -333,9 +344,12 @@ class SelectionConfig:
         self.validate()
 
     def validate(self) -> None:
+        """ConfigError unless every field has its annotated type (see ``check_keys``) and range."""
         def bad(name, why):
             raise ConfigError(f"config key '{name}' {why}")
 
+        for name, typ in get_type_hints(type(self)).items():
+            _check_type(name, getattr(self, name), typ)
         if self.budget_b < 1:
             bad("budget_b", f"must be a positive integer, got {self.budget_b}")
         if self.n_s < self.budget_b:

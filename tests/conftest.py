@@ -62,6 +62,13 @@ def lsh_candidates(tables, idx, vector) -> set[int]:
     return set().union(*(table.get(sig, set()) for table, sig in zip(tables, sigs)))
 
 
+def signatures_reference(hyperplanes: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """LSH signatures as int64 sums of powers of two over the sign bits of one
+    (rows, tables, planes) einsum of the contiguous rows, viewed as uint64."""
+    bits = np.einsum("tpd,nd->ntp", hyperplanes, np.ascontiguousarray(rows)) >= 0.0
+    return (bits @ (1 << np.arange(hyperplanes.shape[1], dtype=np.int64))).view(np.uint64)
+
+
 def repair_reference(g, idx, emb: EmbeddingTable, changed):
     """Local repair over full exact distance rows, as (knn_ids, knn_d2).
 
@@ -141,15 +148,20 @@ def score_stream_reference(ledger) -> str:
 
 def score_lines_reference(text: str) -> list[tuple[int, int, float]]:
     """(id, step, score) per non-blank line, one ``json.loads`` per line; FormatError
-    names the first malformed line."""
+    names the first malformed line, one whose id and step are not JSON integers
+    or whose score is not a JSON number (true and false are neither)."""
     entries = []
     for lineno, line in enumerate(io.StringIO(text).readlines(), start=1):
         if not line.strip():
             continue
         try:
             obj = json.loads(line)
-            entries.append((int(obj["id"]), int(obj["step"]), float(obj["score"])))
-        except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
+            i, t, v = obj["id"], obj["step"], obj["score"]
+            if type(i) is not int or type(t) is not int or type(v) not in (int, float):
+                raise TypeError(f"id and step must be integers and score a number, "
+                                f"got {i!r}, {t!r}, {v!r}")
+            entries.append((i, t, float(v)))
+        except (json.JSONDecodeError, KeyError, TypeError) as exc:
             raise FormatError(f"score stream line {lineno} is malformed: {exc}") from exc
     return entries
 

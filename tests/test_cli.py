@@ -139,6 +139,18 @@ def test_select_rejects_id_or_step_outside_int64(tmp_path, emb_file, entry, caps
     assert "line 2" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("entry", ['{"id": 1.5, "step": 1, "score": 1.0}',
+                                   '{"id": true, "step": 2.9, "score": 1.0}',
+                                   '{"id": 0, "step": 1, "score": true}'])
+def test_select_rejects_truncated_or_boolean_stream_values(tmp_path, emb_file, entry, capsys):
+    path = tmp_path / "typed.jsonl"
+    path.write_text(json.dumps({"id": 1, "step": 1, "score": 1.0}) + "\n" + entry + "\n")
+    code = main(["select", "--embeddings", emb_file, "--scores", str(path),
+                 "--budget", "5", "--eta", "0.2"])
+    assert code == 3
+    assert "line 2" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------

@@ -12,7 +12,8 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import (audit_graph, dump_graph_reference, lsh_buckets, lsh_candidates,
-                      mutual_knn_oracle, nearest_reference, repair_reference)
+                      mutual_knn_oracle, nearest_reference, repair_reference,
+                      signatures_reference)
 from coresel import knn_graph
 from coresel.errors import DomainError, FormatError
 from coresel.knn_graph import (
@@ -417,6 +418,71 @@ def test_lsh_signatures_independent_of_batch(d):
     assert np.array_equal(singles, full)
 
 
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 30), d=st.integers(1, 70),
+       tables=st.integers(1, 8),
+       planes=st.one_of(st.sampled_from([8, 9, 16, 17, 32, 33, 64]), st.integers(1, 64)),
+       layout=st.sampled_from(["C", "F", "strided", "reversed"]),
+       special=st.sampled_from(["none", "zero", "orthogonal", "subnormal"]))
+def test_lsh_signatures_equal_int64_reference(seed, n, d, tables, planes, layout, special):
+    # Plane counts at each side of a dtype's width come up often. Zero rows
+    # dot every plane to exactly 0, whose sign bit is 1; rows projected off a
+    # plane leave its dot to rounding; subnormal rows make products that
+    # underflow to +-0 or stay subnormal.
+    gen = np.random.default_rng(seed)
+    idx = LshIndex(gen.standard_normal((tables, planes, d)))
+    rows = gen.normal(size=(n, d))
+    pick = gen.random(n) < 0.5
+    if special == "zero":
+        rows[pick] = 0.0
+    elif special == "orthogonal":
+        p = idx.hyperplanes[gen.integers(tables), gen.integers(planes)]
+        rows[pick] -= np.outer(rows[pick] @ p / (p @ p), p)
+    elif special == "subnormal":
+        rows[pick] *= 2.0 ** -1060
+    view = rows
+    if layout == "F":
+        view = np.asfortranarray(rows)
+    elif layout == "reversed":
+        view = rows[::-1].copy()[::-1]  # negative row stride
+    elif layout == "strided":
+        wide = np.zeros((n, 3 * d))
+        wide[:, 1::3] = rows
+        view = wide[:, 1::3]
+    got = idx.signatures(view)
+    assert got.shape == (n, tables)
+    assert got.dtype == np.dtype(f"uint{next(b for b in (8, 16, 32, 64) if b >= planes)}")
+    assert np.array_equal(got.astype(np.uint64), signatures_reference(idx.hyperplanes, rows))
+
+
+def test_lsh_rejects_more_planes_than_one_signature_holds(rng):
+    # bit 64 and up would wrap away, so rows differing only there would collide
+    emb = EmbeddingTable(rng.normal(size=(10, 3)))
+    with pytest.raises(DomainError, match="planes <= 64"):
+        build_lsh_index(emb, 2, 70)
+    with pytest.raises(DomainError, match="planes <= 64"):
+        LshIndex(rng.standard_normal((1, 65, 3)))
+    assert build_lsh_index(emb, 2, 64).signatures(emb.rows).dtype == np.uint64
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 60), d=st.integers(1, 6),
+       tables=st.integers(1, 4), planes=st.integers(1, 10))
+def test_lsh_query_in_screened_column_order_permutes_pairs(seed, n, d, tables, planes):
+    # repair queries signatures permuted into the screen's column order, with
+    # each block row at its column; the pairs are the id-order query's, each
+    # column j moved to pos[j]
+    gen = np.random.default_rng(seed)
+    rows = gen.integers(-1, 2, size=(n, d)).astype(np.float64)
+    idx = build_lsh_index(EmbeddingTable(rows), tables, planes, seed=seed % 1000)
+    screen = knn_graph._Screen.of(rows)
+    sigs = idx.signatures(rows)
+    block = gen.permutation(n)[:int(gen.integers(1, n + 1))]
+    r, j = np.divmod(idx.query(sigs, block), n)
+    got = idx.query(sigs[screen.order], screen.pos[block])
+    assert np.array_equal(got, np.sort(r * n + screen.pos[j]))
+
+
 def test_lsh_candidate_recall_on_clusters(rng):
     emb = clustered_table(rng, 500, 16)
     idx = build_lsh_index(emb, 8, 12, seed=0)
@@ -606,6 +672,37 @@ def test_repair_equals_full_row_reference(seed, n, d, k_frac, data, lsh, padded)
     ref_ids, ref_d2 = repair_reference(g, idx, emb, changed)
     assert np.array_equal(repaired.knn_ids, ref_ids)
     assert np.array_equal(repaired.knn_d2, ref_d2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(3, 60), d=st.integers(1, 4),
+       k_frac=st.floats(0.0, 1.0), lsh=st.booleans(), repairs=st.integers(1, 3),
+       target=st.sampled_from(["some", "isolated", "all"]))
+def test_repair_mutual_and_weights_equal_from_lists(seed, n, d, k_frac, lsh, repairs, target):
+    # The repair refreshes mutual flags and weights only in the recomputed
+    # rows and the rows that list one; the rest must still equal a refresh of
+    # every row. Far outliers are isolated nodes (no mutual slot); "isolated"
+    # moves those, "all" every node.
+    gen = np.random.default_rng(seed)
+    k = 1 + int(k_frac * (n - 2)) if n > 2 else 1
+    rows = gen.integers(-2, 3, size=(n, d)).astype(np.float64)
+    rows[gen.random(n) < 0.2] *= 50.0
+    emb = EmbeddingTable(rows)
+    g = build_graph(emb, k=k)
+    idx = build_lsh_index(emb, num_tables=2, planes=4, seed=seed % 1000) if lsh else None
+    for _ in range(repairs):
+        isolated = np.flatnonzero(~g.mutual.any(axis=1))
+        if target == "all":
+            changed = np.arange(n)
+        elif target == "isolated" and isolated.size:
+            changed = isolated
+        else:
+            changed = gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False)
+        emb.rows[changed] += gen.normal(size=(len(changed), d)) * gen.choice([0.01, 1.0, 50.0])
+        g = repair_graph(g, idx, emb, changed.tolist())
+        want = MutualKnnGraph.from_lists(g.knn_ids, g.knn_d2)
+        assert np.array_equal(g.mutual, want.mutual)
+        assert np.array_equal(g.weights.view(np.int64), want.weights.view(np.int64))
 
 
 def test_repair_never_forms_dense_matrix():

@@ -391,6 +391,28 @@ def test_score_stream_rejects_values_outside_int64_or_float(line):
         load_score_stream(io.StringIO(_LINES[0] + "\n\n" + line + "\n" + _LINES[2]), 4)
 
 
+@pytest.mark.parametrize("line", [
+    '{"id": 1.5, "step": 1, "score": 1.0}',
+    '{"id": 1.0, "step": 1, "score": 1.0}',
+    '{"id": true, "step": 1, "score": 1.0}',
+    '{"id": "1", "step": 1, "score": 1.0}',
+    '{"id": 1, "step": 2.9, "score": 1.0}',
+    '{"id": 1, "step": false, "score": 1.0}',
+    '{"id": 1, "step": 1, "score": true}',
+    '{"id": 1, "step": 1, "score": "0.5"}',
+    '{"id": 1, "step": 1, "score": null}',
+], ids=["id-fraction", "id-float", "id-true", "id-string", "step-fraction", "step-false",
+        "score-true", "score-string", "score-null"])
+def test_score_stream_rejects_values_it_would_truncate(line):
+    # ids and steps are JSON integers and scores JSON numbers, none of them true or false
+    text = _LINES[0] + "\n\n" + line + "\n" + _LINES[2]
+    with pytest.raises(FormatError, match="line 3 is malformed: id and step must be integers"):
+        load_score_stream(io.StringIO(text), 4)
+    with pytest.raises(FormatError) as want:
+        score_lines_reference(text)
+    assert "line 3" in str(want.value)
+
+
 # ---------------------------------------------------------------------------
 # SelectionConfig
 # ---------------------------------------------------------------------------
@@ -429,6 +451,27 @@ def test_config_accepts_defaults():
 def test_config_bounds_name_offending_key(overrides, key):
     with pytest.raises(ConfigError, match=key):
         _cfg(**overrides)
+
+
+@pytest.mark.parametrize("overrides,message", [
+    (dict(budget_b=4.5), "'budget_b' must be an integer, got 4.5"),
+    (dict(budget_b=True), "'budget_b' must be an integer, got True"),
+    (dict(n_s=np.float64(8.0)), "'n_s' must be an integer"),
+    (dict(budget_eta="0.1"), "'budget_eta' must be a number, got '0.1'"),
+    (dict(delta=False), "'delta' must be a number, got False"),
+    (dict(seed=None), "'seed' must be an integer, got None"),
+    (dict(normalize_warp=1), "'normalize_warp' must be true or false, got 1"),
+])
+def test_config_rejects_field_of_wrong_type(overrides, message):
+    # the same typed check as the JSON config path
+    with pytest.raises(ConfigError, match=f"config key {message}"):
+        _cfg(**overrides)
+
+
+def test_config_accepts_numpy_integers_and_any_real_number():
+    cfg = _cfg(budget_b=np.int64(4), n_s=np.int32(8), budget_eta=np.float32(0.5), delta=1,
+               lambda_c=np.float64(0.5), normalize_warp=np.bool_(False))
+    assert cfg.budget_b == 4 and cfg.delta == 1
 
 
 def test_config_from_dict_rejects_unknown_key():
