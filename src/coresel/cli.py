@@ -1,13 +1,16 @@
 """Command-line surface: build-graph, select, simulate, check, run, report.
 
 Exit codes: 0 success, 2 usage/config error, 3 data/format error, 4 resource
-error. Logs go to stderr; data goes to files or stdout. All file writes are
-atomic (temp file + rename), so an interrupted run leaves no partial output.
+error. Logs go to stderr; data goes to files or stdout. A command's files are
+written all or none (temp files, then renames undone on failure), so a failed
+command leaves no partial output and never mixes its files with an earlier
+run's.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import json
 import os
@@ -34,26 +37,53 @@ from .store import (
 )
 
 
-def _atomic_write(path: str, payload: str | bytes) -> None:
-    if isinstance(payload, str):
-        payload = payload.encode("utf-8")
-    directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=".part")
+def _write_all(files: dict[str, str | bytes]) -> None:
+    """Write every file or none: after a failure each path holds what it held before.
+
+    Each payload goes to a temp file beside its path. Then, path by path, an
+    existing file is renamed aside and the temp file renamed into place. A
+    failure anywhere undoes the renames done so far, latest first, and removes
+    the temp files before re-raising.
+    """
+    temps: list[str] = []
+    undo: list[tuple[str, str | None]] = []    # (src, dst): rename back, or remove src
     try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
-        os.replace(tmp, path)
+        for path, payload in files.items():
+            if isinstance(payload, str):
+                payload = payload.encode("utf-8")
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", suffix=".part")
+            temps.append(tmp)
+            with os.fdopen(fd, "wb") as fh:
+                fh.write(payload)
+        for path, tmp in zip(files, temps):
+            if os.path.isfile(path) or os.path.islink(path):
+                os.replace(path, tmp + ".old")
+                undo.append((tmp + ".old", path))
+            os.replace(tmp, path)
+            undo.append((path, None))
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for src, dst in reversed(undo):
+            with contextlib.suppress(OSError):
+                if dst is None:
+                    os.unlink(src)
+                else:
+                    os.replace(src, dst)
+        for tmp in temps:
+            with contextlib.suppress(FileNotFoundError):
+                os.unlink(tmp)
         raise
+    for src, dst in undo:
+        if dst is not None:
+            with contextlib.suppress(OSError):
+                os.unlink(src)
 
 
 def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        _atomic_write(out_path, text)
+        _write_all({out_path: text})
 
 
 def _jsonl(records) -> str:
@@ -106,7 +136,7 @@ def cmd_build_graph(args) -> int:
     graph = build_graph(emb, args.k)
     buf = io.StringIO()
     dump_graph(graph, buf)
-    _atomic_write(args.out, buf.getvalue())
+    _write_all({args.out: buf.getvalue()})
     print(f"n={graph.n} k={graph.k} edges={graph.edge_count()}", file=sys.stderr)
     return 0
 
@@ -148,11 +178,10 @@ def cmd_simulate(args) -> int:
     rows, scores = sim.extract_features(range(sim.n))
     buf = io.BytesIO()
     write_embeddings(EmbeddingTable(rows), buf)
-    _atomic_write(args.out_embeddings, buf.getvalue())
     ledger = ScoreLedger.from_scores(scores, step=sim.step)
     sbuf = io.StringIO()
     write_score_stream(ledger, sbuf)
-    _atomic_write(args.out_scores, sbuf.getvalue())
+    _write_all({args.out_embeddings: buf.getvalue(), args.out_scores: sbuf.getvalue()})
     print(f"simulated n={sim.n} d={sim.classes} steps={sim.step} "
           f"train_acc={sim.accuracy():.3f}", file=sys.stderr)
     return 0
@@ -176,11 +205,12 @@ def cmd_run(args) -> int:
     sim = _build_sim(cfg, sim_block)
     report = run(strategy, cfg, sim, total_steps, warmup_steps)
     os.makedirs(args.out_dir, exist_ok=True)
-    # not strict: the report echoes the config as given, and "delta": Infinity is legal
-    _atomic_write(os.path.join(args.out_dir, "report.json"),
-                  json.dumps(report.to_dict(), indent=2) + "\n")
-    _atomic_write(os.path.join(args.out_dir, "events.jsonl"), _jsonl(report.update_events()))
-    _atomic_write(os.path.join(args.out_dir, "selections.jsonl"), _jsonl(report.selection_events()))
+    _write_all({
+        # not strict: the report echoes the config as given, and "delta": Infinity is legal
+        os.path.join(args.out_dir, "report.json"): json.dumps(report.to_dict(), indent=2) + "\n",
+        os.path.join(args.out_dir, "events.jsonl"): _jsonl(report.update_events()),
+        os.path.join(args.out_dir, "selections.jsonl"): _jsonl(report.selection_events()),
+    })
     timings = " ".join(f"{k}={v:.2f}s" for k, v in report.stage_seconds.items())
     print(f"strategy={strategy} final_loss={report.final_loss:.6f} {timings}",
           file=sys.stderr)

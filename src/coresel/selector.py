@@ -10,8 +10,15 @@ bit for bit. Rounds 0 and 1 evaluate every column; later rounds keep stale
 gains as upper bounds and re-evaluate only the stale entries at the top until
 the best bound is fresh. From round 1 on, every coverage gain is numpy's
 pairwise sum of one contiguous row of terms, an order fixed per column, which
-is what makes the bounds hold to the bit. Beyond the cosine matrix nothing of
-size (n, n) is allocated.
+is what makes the bounds hold to the bit.
+
+One kernel computes cosines: rows of the pool's matrix in fixed (16, d) by
+(d, n16) GEMM tiles against the unit rows padded with zero rows to a multiple
+of 16, so a row has the same bits whatever ids share its tile. A pool of at
+most ``_DENSE_MAX_ELEMS`` entries gets the stacked (n, n) matrix; a larger one
+gets rows recomputed on demand, so its memory is O(n d), not O(n^2). Beyond
+that matrix, if any, nothing of size (n, n) is allocated. At large d the
+recomputation costs more time than the matrix it saves.
 """
 
 from __future__ import annotations
@@ -27,6 +34,18 @@ from .store import EmbeddingTable, id_set
 _BLOCK_ROWS = 64
 # Stale entries the greedy re-evaluates at once from the top of its bounds.
 _BATCH = 16
+# Rows per cosine product. Every product has exactly this many rows and a
+# multiple of it as columns: one- and two-row products differ from the others
+# in bits. The stacked tiles are exactly symmetric, equal numpy's syrk
+# ``unit @ unit.T`` at n = 256, 768 and 3000, and keep their bits under 1 and
+# 2 BLAS threads; syrk's bits change with the thread count at n = 1500.
+_TILE = 16
+# Largest pool, in cosine entries (n <= 1448), that gets the dense matrix.
+# Medians of 7 fresh-process selections on simulator embeddings (d = 5, 2-core
+# VM, 2 OpenBLAS threads), recomputed rows against the matrix: 21 against
+# 19 ms at n = 768, 46 against 41 ms at n = 1448, 97 against 117 ms at
+# n = 3000. At d = 64, n = 3000 recomputing is slower: 242 against 180 ms.
+_DENSE_MAX_ELEMS = 2 ** 21
 
 
 @dataclass
@@ -51,6 +70,53 @@ def _unit_rows(emb: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
     if zero.size:
         raise DomainError(f"sample {int(ids[zero[0]])} has a zero-norm embedding")
     return rows / norms[:, None]
+
+
+class CosineRows:
+    """Rows of the cosine matrix of ``unit``'s rows, computed in fixed-shape tiles.
+
+    Stands in for the (n, n) matrix in ``greedy_select``: ``shape``, ``rows[i]``
+    and ``rows[ids]`` (fresh arrays), and ``sum(axis=0)``, all bit for bit what
+    the stacked matrix ``rows[np.arange(n)]`` gives.
+    """
+
+    def __init__(self, unit: np.ndarray):
+        n, d = unit.shape
+        padded = np.zeros((-(-n // _TILE) * _TILE, d))
+        padded[:n] = unit
+        self._unit = unit
+        self._right = padded.T
+        self.shape = (n, n)
+
+    def _tiles(self, ids: np.ndarray):
+        """(offset, rows) for each run of ``_TILE`` ids; a short run repeats its last id."""
+        n = self.shape[0]
+        for r in range(0, ids.size, _TILE):
+            chunk = ids[r:r + _TILE]
+            k = chunk.size
+            if k < _TILE:
+                chunk = np.pad(chunk, (0, _TILE - k), mode="edge")
+            yield r, (self._unit[chunk] @ self._right)[:k, :n]
+
+    def __getitem__(self, ids):
+        if np.ndim(ids) == 0:
+            return self[np.array([ids])][0]
+        ids = np.asarray(ids)
+        out = np.empty((ids.size, self.shape[0]))
+        for r, tile in self._tiles(ids):
+            out[r:r + len(tile)] = tile
+        return out
+
+    def sum(self, axis):
+        """Column sums added down the rows in order, as ``ndarray.sum(axis=0)`` adds them."""
+        if axis != 0:
+            raise ValueError("only axis=0 is supported")
+        total = None
+        for _, tile in self._tiles(np.arange(self.shape[0])):
+            if total is not None:
+                tile[0] += total
+            total = tile.sum(axis=0)
+        return total
 
 
 def _distinct_ids(values, n: int, what: str) -> np.ndarray:
@@ -102,8 +168,9 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
     Returns (members, gains) as local indices into the candidate pool, in
     insertion order. Ties break toward the smaller index. The coverage term of
     the first pick is the plain column sum (the empty coreset covers nothing).
-    ``cos_sim`` must be exactly symmetric, as ``unit @ unit.T`` is: column j
-    is read as row j.
+    ``cos_sim`` is an (n, n) array or a ``CosineRows``, and must be exactly
+    symmetric, as both of ``select_coreset``'s forms are: column j is read as
+    row j.
 
     Lazy (Minoux) evaluation, exact to the bit. Rounds 0 and 1 evaluate every
     unselected column. From round 1 on, coverage only grows, so each term max(c - cov, 0)
@@ -158,12 +225,13 @@ def select_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
         raise DomainError(f"lambda_blend must be in [0, 1], got {lambda_blend}")
     warped = np.asarray(warped, dtype=np.float64)
 
-    unit = _unit_rows(emb, cand)
-    try:
-        cos_sim = unit @ unit.T
-    except MemoryError as exc:
-        raise ResourceError(f"the cosine matrix of {cand.size} candidates needs "
-                            f"{8 * cand.size ** 2} bytes, which could not be allocated") from exc
+    cos_sim = CosineRows(_unit_rows(emb, cand))
+    if cand.size ** 2 <= _DENSE_MAX_ELEMS:
+        try:
+            cos_sim = cos_sim[np.arange(cand.size)]
+        except MemoryError as exc:
+            raise ResourceError(f"the cosine matrix of {cand.size} candidates needs "
+                                f"{8 * cand.size ** 2} bytes, which could not be allocated") from exc
     local_members, gains = greedy_select(cos_sim, warped[cand], lambda_blend, budget_b)
     members = [int(cand[m]) for m in local_members]
     objective = coreset_objective(members, cand, emb, warped, lambda_blend)

@@ -425,6 +425,55 @@ def test_run_failing_provider_leaves_no_output_files(tmp_path, monkeypatch, caps
         assert not (out_dir / name).exists()
 
 
+def _contents(directory):
+    return {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
+
+
+@pytest.mark.parametrize("command", ["run", "simulate"])
+@pytest.mark.parametrize("earlier_run", [True, False])
+def test_failed_rename_leaves_only_the_earlier_runs_files(tmp_path, monkeypatch, capsys,
+                                                          command, earlier_run):
+    # a command that writes several files must fail with all of them from the
+    # earlier run, or none: never one new file next to the earlier run's others
+    def argv(seed):
+        if command == "run":
+            cfg = run_config(tmp_path, selection={"seed": seed}, run={"total_steps": 20})
+            return ["run", "--config", cfg, "--out-dir", str(out_dir)]
+        return ["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "2",
+                "--seed", str(seed), "--out-embeddings", str(out_dir / "emb.bin"),
+                "--out-scores", str(out_dir / "scores.jsonl")]
+
+    replace = os.replace
+    calls = []
+
+    def counted(src, dst):
+        calls.append(src)
+        if len(calls) == fail_at:
+            raise OSError(28, "No space left on device")
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", counted)
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    fail_at = None
+    if earlier_run:
+        assert main(argv(1)) == 0
+    before = _contents(out_dir)
+    calls.clear()
+    assert main(argv(2)) == 0
+    renames = len(calls)
+    assert renames >= (2 if command == "simulate" else 3)
+    for name in _contents(out_dir):
+        (out_dir / name).unlink()
+    for name, data in before.items():
+        (out_dir / name).write_bytes(data)
+    for fail_at in range(1, renames + 1):
+        calls.clear()
+        assert main(argv(2)) == 3, fail_at
+        assert "No space left on device" in capsys.readouterr().err
+        assert _contents(out_dir) == before, fail_at
+
+
 def test_unknown_flag_rejected(emb_file):
     with pytest.raises(SystemExit) as exc:
         main(["build-graph", "--embeddings", emb_file, "--k", "5",

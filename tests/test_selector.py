@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import coresel
+from coresel import selector
 from conftest import (
     brute_force_coreset,
     greedy_reference,
@@ -21,6 +22,7 @@ from conftest import (
 )
 from coresel.errors import DomainError, ResourceError
 from coresel.selector import (
+    CosineRows,
     _coverage_gains,
     _unit_rows,
     coreset_objective,
@@ -203,23 +205,34 @@ def _tied_matrix(gen, n):
     return m
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=160, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 140),
-       kind=st.sampled_from(["cosine", "tied"]),
+       kind=st.sampled_from(["cosine", "tied"]), form=st.sampled_from(["dense", "tiled"]),
        duplicates=st.integers(0, 12), lam=st.sampled_from([0.0, 0.5, 1.0]),
        budget=st.sampled_from(["1", "2", "n"]), tied_warped=st.booleans())
-def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, duplicates, lam, budget,
+def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, form, duplicates, lam, budget,
                                                 tied_warped):
     # Negative cosines make round 0's column sum no bound on later gains;
     # duplicated samples tie whole columns and keep the matrix symmetric.
-    # n up to 140 spans three row blocks of the full pass.
+    # n up to 140 spans three row blocks of the full pass. The tiled form runs
+    # the greedy on CosineRows and the reference on its stacked matrix; its
+    # tied instances are coarse directions, whose cosines take a few values.
     gen = np.random.default_rng(seed)
-    if kind == "cosine":
-        x = gen.normal(size=(n, int(gen.integers(2, 6))))
+    rows = None
+    if kind == "cosine" or form == "tiled":
+        if kind == "cosine":
+            x = gen.normal(size=(n, int(gen.integers(2, 6))))
+        else:
+            x = gen.choice([-1.0, 0.0, 1.0], size=(n, 3))
+            x[~x.any(axis=1), 0] = 1.0
         for _ in range(duplicates):
             x[gen.integers(n)] = x[gen.integers(n)]
         unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-        cos = unit @ unit.T
+        if form == "tiled":
+            rows = CosineRows(unit)
+            cos = rows[np.arange(n)]
+        else:
+            cos = unit @ unit.T
     else:
         cos = _tied_matrix(gen, n)
         for _ in range(duplicates):
@@ -233,7 +246,7 @@ def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, duplicates, lam, 
     b = {"1": 1, "2": min(2, n), "n": n}[budget]
 
     ref_members, ref_gains = greedy_reference(cos, warped, lam, b)
-    members, gains = greedy_select(cos, warped, lam, b)
+    members, gains = greedy_select(cos if rows is None else rows, warped, lam, b)
     assert members.tolist() == ref_members
     assert np.array_equal(gains.view(np.int64), np.array(ref_gains).view(np.int64))
 
@@ -261,14 +274,97 @@ def test_coverage_gain_bits_do_not_depend_on_the_columns_evaluated(seed, n, orde
     assert np.array_equal(got.view(np.int64), full[cols].view(np.int64))
 
 
+def _bits(a):
+    return np.asarray(a).view(np.int64)
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400), d=st.integers(1, 64),
+       picks=st.sampled_from(["single", "repeats", "reversed"]))
+def test_cosine_tiles_agree_with_the_stacked_matrix(seed, n, d, picks):
+    # a row's bits must not depend on the ids that share its tile, a short tile's
+    # padding included, or the lazy greedy's bounds fail on a large pool
+    gen = np.random.default_rng(seed)
+    x = gen.normal(size=(n, d))
+    rows = CosineRows(x / np.linalg.norm(x, axis=1, keepdims=True))
+    cos = rows[np.arange(n)]
+    assert cos.shape == rows.shape == (n, n)
+    assert np.array_equal(_bits(cos), _bits(cos.T))
+    assert np.array_equal(_bits(rows.sum(axis=0)), _bits(cos.sum(axis=0)))
+    i = int(gen.integers(n))
+    assert np.array_equal(_bits(rows[i]), _bits(cos[i]))
+    if picks == "single":
+        ids = np.array([i])
+    elif picks == "repeats":
+        ids = gen.integers(n, size=int(gen.integers(1, 2 * n + 2)))
+    else:
+        ids = np.arange(n)[::-1]
+    assert np.array_equal(_bits(rows[ids]), _bits(cos[ids]))
+
+
 @pytest.mark.parametrize("n, d", [(256, 5), (768, 5), (3000, 5), (300, 64)])
 def test_cosine_matrix_is_exactly_symmetric(n, d):
     # greedy_select reads column j as row j, which holds only for an exactly
-    # symmetric matrix; select_coreset forms it as unit @ unit.T
+    # symmetric matrix; checked here at the benchmark's pool sizes
     emb = EmbeddingTable(np.random.default_rng(n + d).normal(size=(n, d)))
-    unit = _unit_rows(emb, np.arange(n))
-    cos = unit @ unit.T
+    cos = CosineRows(_unit_rows(emb, np.arange(n)))[np.arange(n)]
     assert np.array_equal(cos, cos.T)
+
+
+@pytest.mark.parametrize("n, d, budget, lam", [(1, 3, 1, 0.5), (17, 2, 17, 0.0), (100, 5, 12, 0.6),
+                                               (300, 8, 40, 1.0), (2000, 16, 16, 0.6)])
+def test_tiled_selection_equals_dense_selection(monkeypatch, n, d, budget, lam):
+    gen = np.random.default_rng(n * d)
+    x = gen.normal(size=(n, d))
+    x[gen.integers(n, size=n // 10)] = x[0]           # tied columns
+    emb = EmbeddingTable(x)
+    warped = gen.choice([0.0, 0.5, 1.0], size=n)
+    monkeypatch.setattr(selector, "_DENSE_MAX_ELEMS", n * n)
+    dense = select_coreset(range(n), budget, emb, warped, lam)
+    monkeypatch.setattr(selector, "_DENSE_MAX_ELEMS", 0)
+    tiled = select_coreset(range(n), budget, emb, warped, lam)
+    assert tiled.members == dense.members
+    assert _bits(tiled.objective_value) == _bits(dense.objective_value)
+    assert np.array_equal(_bits(tiled.gains), _bits(dense.gains))
+
+
+def test_large_pool_selection_forms_no_dense_matrix():
+    # the (3000, 3000) cosine matrix alone is 68.7 MB; the tiled rows need
+    # (64, n) gain chunks and (16, n) tiles
+    gen = np.random.default_rng(3)
+    emb = EmbeddingTable(gen.normal(size=(3000, 5)))
+    warped = gen.uniform(size=3000)
+    tracemalloc.start()
+    try:
+        select_coreset(range(3000), 16, emb, warped, 0.6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20
+
+
+def test_cosine_bits_do_not_depend_on_the_blas_thread_count():
+    # numpy's syrk (unit @ unit.T) gives other bits under 1 and 2 OpenBLAS
+    # threads at this size; the fixed-shape tiles must not
+    code = (
+        "import hashlib\n"
+        "import numpy as np\n"
+        "from coresel.selector import CosineRows\n"
+        "x = np.random.default_rng(5).normal(size=(1500, 64))\n"
+        "rows = CosineRows(x / np.linalg.norm(x, axis=1, keepdims=True))\n"
+        "h = hashlib.sha256(rows[np.arange(1500)].tobytes())\n"
+        "h.update(rows.sum(axis=0).tobytes())\n"
+        "print(h.hexdigest())\n"
+    )
+    src = str(Path(coresel.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+        result = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                                text=True)
+        assert result.returncode == 0, result.stderr
+        digests.append(result.stdout)
+    assert digests[0] == digests[1]
 
 
 def test_greedy_never_forms_second_dense_matrix():
