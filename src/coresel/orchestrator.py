@@ -12,7 +12,7 @@ malformed or non-finite provider output raises DataError before any use.
 from __future__ import annotations
 
 import time
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -54,7 +54,8 @@ class RunReport:
         """The report document: every field in order, but not the timings or the plans."""
         doc = {f.name: getattr(self, f.name) for f in fields(self)
                if f.name not in ("stage_seconds", "plans")}
-        doc["intervals"] = [asdict(rec) for rec in self.intervals]
+        doc["intervals"] = [{f.name: getattr(rec, f.name) for f in fields(rec)}
+                            for rec in self.intervals]
         return doc
 
     def update_events(self) -> list[dict]:

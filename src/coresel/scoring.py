@@ -70,7 +70,8 @@ def warped_scores(normalized, params: WarpParams, normalize: bool = True) -> np.
     """Warp a vector of normalized scores, clamping inputs away from {0, 1}.
 
     With ``normalize`` the result is divided by the warped value at the mode,
-    so it lies in [0, 1] on the same scale as cosine coverage.
+    so it lies in [0, 1] on the same scale as cosine coverage. Without it, a
+    large ``gamma_temp`` can overflow: a non-finite result raises ConfigError.
     """
     x = clamp_unit(normalized)
     a, b, g = params.alpha, params.beta, params.gamma_temp
@@ -80,7 +81,12 @@ def warped_scores(normalized, params: WarpParams, normalize: bool = True) -> np.
     log_pdf = const + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
     if normalize:
         log_pdf = log_pdf - _log_beta_pdf(warp_mode(params), a, b)
-    return np.exp(g * log_pdf)
+    with np.errstate(over="ignore", invalid="ignore"):
+        warped = np.exp(g * log_pdf)
+    if not np.isfinite(warped).all():
+        raise ConfigError(f"gamma_temp={g} makes a warped score non-finite; "
+                          f"use a smaller gamma_temp or normalized warping")
+    return warped
 
 
 def selection_scores(ledger: ScoreLedger, cfg) -> np.ndarray:

@@ -7,18 +7,23 @@ marginal gain each round.
 
 The greedy is Minoux's lazy greedy and returns what the full-pass loop would,
 bit for bit. Rounds 0 and 1 evaluate every column; later rounds keep stale
-gains as upper bounds and re-evaluate only the stale entries at the top until
-the best bound is fresh. From round 1 on, every coverage gain is numpy's
-pairwise sum of one contiguous row of terms, an order fixed per column, which
-is what makes the bounds hold to the bit.
+gains as upper bounds and re-evaluate the stale entries at the top, 16, then
+32, 64, ... at a time within one round, until the best bound is fresh. The
+batch size decides only which columns are evaluated, never a gain's bits: from
+round 1 on, every coverage gain is numpy's pairwise sum of one row of terms,
+an order fixed per column, which is what makes the bounds hold to the bit.
 
 One kernel computes cosines: rows of the pool's matrix in fixed (16, d) by
-(d, n16) GEMM tiles against the unit rows padded with zero rows to a multiple
-of 16, so a row has the same bits whatever ids share its tile. A pool of at
-most ``_DENSE_MAX_ELEMS`` entries gets the stacked (n, n) matrix; a larger one
-gets rows recomputed on demand, so its memory is O(n d), not O(n^2). Beyond
-that matrix, if any, nothing of size (n, n) is allocated. At large d the
-recomputation costs more time than the matrix it saves.
+(d, n16) GEMM tiles, whose right operand is the transposed unit rows, padded
+with zero columns to a multiple of 16 and stored row-major. A row has the
+same bits whatever ids share its tile, and the same under 1 and 2 BLAS
+threads. OpenBLAS takes a small-matrix path when n16 <= 64 and d >= 32; its
+bits differ from the large path's, and its stacked matrices are exactly
+symmetric too. A pool of at most ``_DENSE_MAX_ELEMS`` entries gets the stacked
+(n, n) matrix; a larger one gets rows recomputed on demand, so its memory is
+O(n d), not O(n^2), and the gains are computed straight from each tile
+product, with no copy. Beyond that matrix, if any, nothing of size (n, n) is
+allocated.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from .store import EmbeddingTable, id_set
 
 # Columns per chunk of the gain kernel: (64, n) temporaries, not (n, n).
 _BLOCK_ROWS = 64
-# Stale entries the greedy re-evaluates at once from the top of its bounds.
+# Stale entries the greedy first re-evaluates at once from the top of its
+# bounds; each further batch in the same round is twice the one before.
 _BATCH = 16
 # Rows per cosine product. Every product has exactly this many rows and a
 # multiple of it as columns: one- and two-row products differ from the others
@@ -41,10 +47,13 @@ _BATCH = 16
 # 2 BLAS threads; syrk's bits change with the thread count at n = 1500.
 _TILE = 16
 # Largest pool, in cosine entries (n <= 1448), that gets the dense matrix.
-# Medians of 7 fresh-process selections on simulator embeddings (d = 5, 2-core
-# VM, 2 OpenBLAS threads), recomputed rows against the matrix: 21 against
-# 19 ms at n = 768, 46 against 41 ms at n = 1448, 97 against 117 ms at
-# n = 3000. At d = 64, n = 3000 recomputing is slower: 242 against 180 ms.
+# Medians of 11 fresh-process selections, budget 16 unless noted, recomputed
+# rows against the matrix (2-core VM, 2 OpenBLAS threads). Simulator
+# embeddings, d = 5: 11 against 14 ms at n = 768 (24 against 25 ms at budget
+# 128), 39 against 38 ms at n = 1448, 89 against 194 ms at n = 3000. At
+# n = 3000, d = 64 they tie at 230 against 228 ms; on unclustered Gaussian
+# rows (n = 3000, d = 16) recomputing wins, 157 against 234 ms. The limit
+# stays until the pools under it are measured at their own budgets.
 _DENSE_MAX_ELEMS = 2 ** 21
 
 
@@ -76,20 +85,23 @@ class CosineRows:
     """Rows of the cosine matrix of ``unit``'s rows, computed in fixed-shape tiles.
 
     Stands in for the (n, n) matrix in ``greedy_select``: ``shape``, ``rows[i]``
-    and ``rows[ids]`` (fresh arrays), and ``sum(axis=0)``, all bit for bit what
-    the stacked matrix ``rows[np.arange(n)]`` gives.
+    and ``rows[ids]`` (fresh arrays), ``blocks(ids)`` and ``sum(axis=0)``, all
+    bit for bit what the stacked matrix ``rows[np.arange(n)]`` gives.
     """
 
     def __init__(self, unit: np.ndarray):
         n, d = unit.shape
-        padded = np.zeros((-(-n // _TILE) * _TILE, d))
-        padded[:n] = unit
+        right = np.zeros((d, -(-n // _TILE) * _TILE))
+        right[:, :n] = unit.T
         self._unit = unit
-        self._right = padded.T
+        self._right = right
         self.shape = (n, n)
 
-    def _tiles(self, ids: np.ndarray):
-        """(offset, rows) for each run of ``_TILE`` ids; a short run repeats its last id."""
+    def blocks(self, ids: np.ndarray):
+        """(offset, rows) for each run of ``_TILE`` ids; a short run repeats its last id.
+
+        Each block is a fresh tile product, sliced to the run's rows and the pool's columns.
+        """
         n = self.shape[0]
         for r in range(0, ids.size, _TILE):
             chunk = ids[r:r + _TILE]
@@ -103,7 +115,7 @@ class CosineRows:
             return self[np.array([ids])][0]
         ids = np.asarray(ids)
         out = np.empty((ids.size, self.shape[0]))
-        for r, tile in self._tiles(ids):
+        for r, tile in self.blocks(ids):
             out[r:r + len(tile)] = tile
         return out
 
@@ -112,7 +124,7 @@ class CosineRows:
         if axis != 0:
             raise ValueError("only axis=0 is supported")
         total = None
-        for _, tile in self._tiles(np.arange(self.shape[0])):
+        for _, tile in self.blocks(np.arange(self.shape[0])):
             if total is not None:
                 tile[0] += total
             total = tile.sum(axis=0)
@@ -149,16 +161,20 @@ def coreset_objective(core, pool, emb: EmbeddingTable, warped, lambda_blend: flo
 def _coverage_gains(cos_sim, cov, cols) -> np.ndarray:
     """Coverage gain of the columns ``cols``, read as rows of the symmetric ``cos_sim``.
 
-    Each gain is the pairwise sum of its contiguous row of terms max(c - cov, 0),
-    the same bits whichever columns share the call. Each chunk is gathered
-    fresh and turned into terms in place: one (64, n) temporary.
+    Each gain is the pairwise sum of its row of terms max(c - cov, 0), the same
+    bits whichever columns share the call. Each fresh block of rows, a tile
+    product of a ``CosineRows`` or a (64, n) gather of a matrix, is turned into
+    terms in place, so no block is copied.
     """
+    if isinstance(cos_sim, CosineRows):
+        blocks = cos_sim.blocks(cols)
+    else:
+        blocks = ((c0, cos_sim[cols[c0:c0 + _BLOCK_ROWS]]) for c0 in range(0, len(cols), _BLOCK_ROWS))
     out = np.empty(len(cols), dtype=np.float64)
-    for c0 in range(0, len(cols), _BLOCK_ROWS):
-        terms = cos_sim[cols[c0:c0 + _BLOCK_ROWS]]
+    for c0, terms in blocks:
         terms -= cov
         np.maximum(terms, 0.0, out=terms)
-        terms.sum(axis=1, out=out[c0:c0 + _BLOCK_ROWS])
+        terms.sum(axis=1, out=out[c0:c0 + len(terms)])
     return out
 
 
@@ -178,24 +194,27 @@ def greedy_select(cos_sim, warped, lam, budget) -> tuple[np.ndarray, np.ndarray]
     order per column (numpy's pairwise sum of the row of terms, fixed by n) a
     gain from an earlier round bounds today's from above. Round 0's plain
     column sum is no such bound when cosines are negative. Each later round
-    re-evaluates the top stale entries until the argmax of the bounds (the
-    smallest index among equals) is fresh; that entry is the round's exact
-    argmax. No (n, n) temporary is formed.
+    re-evaluates the top stale entries, 16, then 32, 64, ... at a time, until
+    the argmax of the bounds (the smallest index among equals) is fresh; that
+    entry is the round's exact argmax. No (n, n) temporary is formed.
     """
     n = cos_sim.shape[0]
     members = np.empty(budget, dtype=np.int64)
     gains = np.empty(budget, dtype=np.float64)
     # blended gain as of round fresh[j]; round 0's is the plain column sum
-    bound = lam * cos_sim.sum(axis=0) + (1.0 - lam) * warped
+    importance = (1.0 - lam) * warped
+    bound = lam * cos_sim.sum(axis=0) + importance
     fresh = np.zeros(n, dtype=np.int64)     # selected entries: budget, never stale
     cov = np.zeros(n, dtype=np.float64)
     for r in range(budget):
         best = int(np.argmax(bound))  # first max -> smallest index on ties
+        batch = _BATCH
         while fresh[best] < r:
             stale = np.flatnonzero(fresh < r)
-            if r > 1 and stale.size > _BATCH:  # round 0 bounds nothing: round 1 takes all
-                stale = stale[np.argpartition(bound[stale], -_BATCH)[-_BATCH:]]
-            bound[stale] = lam * _coverage_gains(cos_sim, cov, stale) + (1.0 - lam) * warped[stale]
+            if r > 1 and stale.size > batch:  # round 0 bounds nothing: round 1 takes all
+                stale = stale[np.argpartition(bound[stale], -batch)[-batch:]]
+            batch *= 2
+            bound[stale] = lam * _coverage_gains(cos_sim, cov, stale) + importance[stale]
             fresh[stale] = r
             best = int(np.argmax(bound))
         members[r] = best
@@ -224,6 +243,9 @@ def select_coreset(candidates, budget_b: int, emb: EmbeddingTable, warped,
     if not 0.0 <= lambda_blend <= 1.0:
         raise DomainError(f"lambda_blend must be in [0, 1], got {lambda_blend}")
     warped = np.asarray(warped, dtype=np.float64)
+    bad = np.flatnonzero(~np.isfinite(warped[cand]))
+    if bad.size:
+        raise DomainError(f"sample {int(cand[bad[0]])} has a non-finite warped score")
 
     cos_sim = CosineRows(_unit_rows(emb, cand))
     if cand.size ** 2 <= _DENSE_MAX_ELEMS:

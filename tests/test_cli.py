@@ -392,6 +392,26 @@ def test_select_raw_warp_flag(emb_file, scores_file, capsys):
     assert raw_event["objective"] != norm_event["objective"]
 
 
+def test_select_raw_warp_overflow_is_config_error(tmp_path, emb_file, scores_file, capsys):
+    # exp overflows in the raw warp at a large gamma: exit 2 with one line, no output
+    out = tmp_path / "coreset.json"
+    assert main(["select", "--embeddings", emb_file, "--scores", scores_file, "--budget", "5",
+                 "--eta", "0.1", "--raw-warp", "--gamma", "1000", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "gamma_temp" in err
+    assert not out.exists()
+
+
+def test_run_raw_warp_overflow_is_config_error(tmp_path, capsys):
+    cfg = run_config(tmp_path, selection={"normalize_warp": False, "gamma_temp": 1000})
+    out_dir = tmp_path / "out"
+    assert main(["run", "--config", cfg, "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "gamma_temp" in err
+    for name in ("report.json", "events.jsonl", "selections.jsonl"):
+        assert not (out_dir / name).exists()
+
+
 def test_run_overwrites_stale_outputs(tmp_path):
     cfg = run_config(tmp_path)
     out_dir = tmp_path / "out"

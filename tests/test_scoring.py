@@ -1,6 +1,7 @@
 """EL2N scores, warp-parameter derivation, and the Beta warp itself."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -118,6 +119,23 @@ def test_alpha_strictly_increases_with_eta():
 def test_warp_gamma_zero_is_one():
     params = WarpParams(alpha=3.0, beta=4.0, gamma_temp=0.0)
     assert warped_scores([0.1, 0.5, 0.9], params, normalize=False).tolist() == [1.0, 1.0, 1.0]
+
+
+@pytest.mark.parametrize("gamma", [1e4, math.inf])
+def test_raw_warp_overflow_is_config_error(gamma):
+    # the raw Beta(3, 4) pdf peaks above 2, so a large gamma_temp overflows exp;
+    # the error names the key, and numpy's overflow warning stays silent
+    params = WarpParams(alpha=3.0, beta=4.0, gamma_temp=gamma)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ConfigError, match="gamma_temp"):
+            warped_scores([0.1, 0.4, 0.9], params, normalize=False)
+
+
+def test_normalized_warp_does_not_overflow_at_large_gamma():
+    params = WarpParams(alpha=3.0, beta=4.0, gamma_temp=1e4)
+    warped = warped_scores([0.1, 0.4, 0.9], params, normalize=True)
+    assert np.isfinite(warped).all() and warped.max() <= 1.0
 
 
 def test_warp_symmetric_beta_hand_value():

@@ -117,6 +117,19 @@ def test_identical_embeddings_warped_breaks_tie():
     assert sel.members == [1]
 
 
+def test_select_rejects_non_finite_warped_scores(rng):
+    emb = positive_table(rng, 6, 3)
+    warped = np.ones(6)
+    warped[4] = np.inf
+    with pytest.raises(DomainError, match="sample 4"):
+        select_coreset(range(6), 2, emb, warped, 0.5)
+    warped[4] = np.nan
+    with pytest.raises(DomainError, match="sample 4"):
+        select_coreset([1, 4, 5], 2, emb, warped, 0.5)
+    # only the candidates' scores count
+    assert select_coreset([0, 1, 2], 2, emb, warped, 0.5).members
+
+
 def test_select_rejects_empty_and_overbudget(rng):
     emb = positive_table(rng, 4, 3)
     warped = np.ones(4)
@@ -253,17 +266,23 @@ def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, form, duplicates,
 
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
-       order=st.sampled_from(["subset", "reversed", "duplicated"]))
-def test_coverage_gain_bits_do_not_depend_on_the_columns_evaluated(seed, n, order):
+       order=st.sampled_from(["subset", "reversed", "duplicated"]),
+       form=st.sampled_from(["dense", "tiled"]))
+def test_coverage_gain_bits_do_not_depend_on_the_columns_evaluated(seed, n, order, form):
     # The lazy bounds hold to the bit only if a column's gain has one summation
     # order, whatever other columns share the call or its chunks; n up to 400
     # spans numpy's 8-wide and 128-element pairwise blocks and several chunks.
+    # The tiled form sums rows of tile products in place, padded columns
+    # sliced off, and must give the gains of the stacked matrix's rows.
     gen = np.random.default_rng(seed)
     x = gen.normal(size=(n, int(gen.integers(2, 8))))
     unit = x / np.linalg.norm(x, axis=1, keepdims=True)
-    cos = unit @ unit.T
+    rows = CosineRows(unit)
+    cos = unit @ unit.T if form == "dense" else rows[np.arange(n)]
     cov = cos[gen.integers(n, size=int(gen.integers(1, 4)))].max(axis=0)
     full = _coverage_gains(cos, cov, np.arange(n))
+    if form == "tiled":
+        cos = rows
     if order == "subset":
         cols = np.sort(gen.choice(n, size=int(gen.integers(1, n + 1)), replace=False))
     elif order == "reversed":
@@ -276,6 +295,28 @@ def test_coverage_gain_bits_do_not_depend_on_the_columns_evaluated(seed, n, orde
 
 def _bits(a):
     return np.asarray(a).view(np.int64)
+
+
+@pytest.mark.parametrize("n, form", [(3000, "tiled"), (1448, "dense")])
+def test_lazy_greedy_with_doubled_batches_equals_full_pass_reference(monkeypatch, n, form):
+    # unclustered Gaussian rows keep many bounds close, so a round re-evaluates
+    # 16, then 32, 64, ... stale columns; every batch must keep the reference's bits
+    x = np.random.default_rng(n).normal(size=(n, 16))
+    rows = CosineRows(x / np.linalg.norm(x, axis=1, keepdims=True))
+    cos = rows[np.arange(n)]
+    warped = np.random.default_rng(n + 1).uniform(size=n)
+    sizes = []
+
+    def counted(cos_sim, cov, cols):
+        sizes.append(len(cols))
+        return _coverage_gains(cos_sim, cov, cols)
+
+    monkeypatch.setattr(selector, "_coverage_gains", counted)
+    members, gains = greedy_select(rows if form == "tiled" else cos, warped, 0.5, 16)
+    ref_members, ref_gains = greedy_reference(cos, warped, 0.5, 16)
+    assert members.tolist() == ref_members
+    assert np.array_equal(_bits(gains), _bits(ref_gains))
+    assert {16, 32, 64} <= set(sizes)
 
 
 @settings(max_examples=80, deadline=None)
@@ -302,10 +343,11 @@ def test_cosine_tiles_agree_with_the_stacked_matrix(seed, n, d, picks):
     assert np.array_equal(_bits(rows[ids]), _bits(cos[ids]))
 
 
-@pytest.mark.parametrize("n, d", [(256, 5), (768, 5), (3000, 5), (300, 64)])
+@pytest.mark.parametrize("n, d", [(256, 5), (768, 5), (3000, 5), (300, 64), (17, 32), (64, 128)])
 def test_cosine_matrix_is_exactly_symmetric(n, d):
     # greedy_select reads column j as row j, which holds only for an exactly
-    # symmetric matrix; checked here at the benchmark's pool sizes
+    # symmetric matrix; checked here at the benchmark's pool sizes and at two
+    # small pools that take OpenBLAS's small-matrix path
     emb = EmbeddingTable(np.random.default_rng(n + d).normal(size=(n, d)))
     cos = CosineRows(_unit_rows(emb, np.arange(n)))[np.arange(n)]
     assert np.array_equal(cos, cos.T)
@@ -345,16 +387,19 @@ def test_large_pool_selection_forms_no_dense_matrix():
 
 def test_cosine_bits_do_not_depend_on_the_blas_thread_count():
     # numpy's syrk (unit @ unit.T) gives other bits under 1 and 2 OpenBLAS
-    # threads at this size; the fixed-shape tiles must not
+    # threads at n = 1500; the fixed-shape tiles must not. Pools of at most 64
+    # with d >= 32 take OpenBLAS's small-matrix path, whose bits differ from the
+    # large path's; they too must not depend on the thread count.
     code = (
         "import hashlib\n"
         "import numpy as np\n"
         "from coresel.selector import CosineRows\n"
-        "x = np.random.default_rng(5).normal(size=(1500, 64))\n"
-        "rows = CosineRows(x / np.linalg.norm(x, axis=1, keepdims=True))\n"
-        "h = hashlib.sha256(rows[np.arange(1500)].tobytes())\n"
-        "h.update(rows.sum(axis=0).tobytes())\n"
-        "print(h.hexdigest())\n"
+        "for n, d in [(1500, 64)] + [(n, d) for n in (17, 64) for d in (32, 64, 128)]:\n"
+        "    x = np.random.default_rng(5).normal(size=(n, d))\n"
+        "    rows = CosineRows(x / np.linalg.norm(x, axis=1, keepdims=True))\n"
+        "    h = hashlib.sha256(rows[np.arange(n)].tobytes())\n"
+        "    h.update(rows.sum(axis=0).tobytes())\n"
+        "    print(n, d, h.hexdigest())\n"
     )
     src = str(Path(coresel.__file__).resolve().parents[1])
     digests = []
