@@ -52,8 +52,11 @@ _TILE = 16
 # embeddings, d = 5: 11 against 14 ms at n = 768 (24 against 25 ms at budget
 # 128), 39 against 38 ms at n = 1448, 89 against 194 ms at n = 3000. At
 # n = 3000, d = 64 they tie at 230 against 228 ms; on unclustered Gaussian
-# rows (n = 3000, d = 16) recomputing wins, 157 against 234 ms. The limit
-# stays until the pools under it are measured at their own budgets.
+# rows (n = 3000, d = 16) recomputing wins, 157 against 234 ms. Warm and in
+# process, as an adaptive run selects, the matrix wins under the limit:
+# replaying a run's 10 selections (medians of 15 interleaved replays, 1 and 2
+# threads), 3.4-4.3 against 4.9-6.6 ms per selection at n = 256, budget 64,
+# and 15-18 against 18-23 ms at n = 768, budget 128.
 _DENSE_MAX_ELEMS = 2 ** 21
 
 
@@ -103,12 +106,10 @@ class CosineRows:
         Each block is a fresh tile product, sliced to the run's rows and the pool's columns.
         """
         n = self.shape[0]
+        short = -ids.size % _TILE
+        padded = np.concatenate((ids, np.full(short, ids[-1]))) if short else ids
         for r in range(0, ids.size, _TILE):
-            chunk = ids[r:r + _TILE]
-            k = chunk.size
-            if k < _TILE:
-                chunk = np.pad(chunk, (0, _TILE - k), mode="edge")
-            yield r, (self._unit[chunk] @ self._right)[:k, :n]
+            yield r, (self._unit[padded[r:r + _TILE]] @ self._right)[:min(_TILE, ids.size - r), :n]
 
     def __getitem__(self, ids):
         if np.ndim(ids) == 0:

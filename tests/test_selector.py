@@ -264,7 +264,7 @@ def test_lazy_greedy_equals_full_pass_reference(seed, n, kind, form, duplicates,
     assert np.array_equal(gains.view(np.int64), np.array(ref_gains).view(np.int64))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 400),
        order=st.sampled_from(["subset", "reversed", "duplicated"]),
        form=st.sampled_from(["dense", "tiled"]))
