@@ -30,7 +30,7 @@ from .knn_graph import (
     load_graph,
     repair_graph,
 )
-from .orchestrator import RunReport, run, run_adaptive, run_baseline
+from .orchestrator import RunReport, run
 from .scoring import (
     WarpParams,
     derive_warp_params,

@@ -1,29 +1,36 @@
 """End-to-end training loop: warm-up, graph build, select/train/check cycle.
 
-Each strategy trains the provider for exactly ``total_steps`` gradient steps
-(warm-up included), so runs are comparable at matched budget. The adaptive
-strategy re-selects a blended-objective coreset from a fresh candidate draw
-every interval and runs the adaptive check after each full interval; the
-baselines substitute their selection rule into the identical loop. Every
-provider extract of the adaptive loop goes through ``extract_checked``, so
-malformed or non-finite provider output raises DataError before any use.
+``run`` is the one loop for every strategy. Each trains the provider for
+exactly ``total_steps`` gradient steps (warm-up included), so runs compare at
+matched budget, and passes each interval's members to the provider as one
+int64 array, in insertion order. Strategies differ only in those members:
+``adaptive`` selects a blended-objective coreset from a fresh candidate draw,
+``random-static`` draws ``budget_b`` ids once, ``random-fixed-interval``
+draws them every interval and ``full-data`` takes every id. Only ``adaptive``
+builds the graph, extracts and records member scores at every step, and runs
+the adaptive check after each full interval. Each of its provider extracts
+goes through ``extract_checked``, so malformed or non-finite provider output
+raises DataError before any use.
 """
 
 from __future__ import annotations
 
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from .dynamics import UpdatePlan, check_and_update, extract_checked
-from .errors import ConfigError
+from .errors import ConfigError, FormatError
 from .knn_graph import build_graph, build_lsh_index
 from .scoring import selection_scores
 from .selector import select_coreset
 from .store import EmbeddingTable, ScoreLedger, SelectionConfig
 
 STRATEGIES = ("adaptive", "random-static", "random-fixed-interval", "full-data")
+# ``stage_seconds`` keys of an adaptive run, in order; a baseline times warmup, select, train
+STAGES = ("warmup", "extract", "graph", "select", "train", "check")
 
 
 @dataclass
@@ -73,12 +80,34 @@ class RunReport:
         ]
 
 
-def loss_rows(report: dict) -> list[tuple[int, float]]:
-    """(step, loss) for every train step of a report document, warm-up first."""
-    rows = [(s + 1, loss) for s, loss in enumerate(report.get("warmup_losses", []))]
-    for rec in report.get("intervals", []):
-        start = rec["start_step"]
-        rows.extend((start + i + 1, loss) for i, loss in enumerate(rec["losses"]))
+def _numbers(value, what: str) -> list:
+    """``value`` if it is a list of JSON numbers (not true or false), else FormatError."""
+    if isinstance(value, list) and all(type(v) in (int, float) for v in value):
+        return value
+    raise FormatError(f"{what} must be a list of numbers")
+
+
+def loss_rows(report) -> list[tuple[int, float]]:
+    """(step, loss) for every train step of a report document, warm-up first.
+
+    FormatError unless the document is an object whose ``warmup_losses`` is a
+    list of numbers and whose ``intervals`` is a list of objects, each with an
+    integer ``start_step`` and a list of numeric ``losses``.
+    """
+    if not isinstance(report, dict):
+        raise FormatError("report document must be a JSON object")
+    warmup = _numbers(report.get("warmup_losses"), "report key 'warmup_losses'")
+    rows = [(s + 1, loss) for s, loss in enumerate(warmup)]
+    intervals = report.get("intervals")
+    if not isinstance(intervals, list):
+        raise FormatError("report key 'intervals' must be a list")
+    for i, rec in enumerate(intervals):
+        start = rec.get("start_step") if isinstance(rec, dict) else None
+        if type(start) is not int:
+            raise FormatError(f"report interval {i} must be an object with an integer "
+                              f"'start_step'")
+        losses = _numbers(rec.get("losses"), f"report interval {i} key 'losses'")
+        rows.extend((start + j + 1, loss) for j, loss in enumerate(losses))
     return rows
 
 
@@ -102,38 +131,36 @@ def _resolve_steps(cfg: SelectionConfig, provider, total_steps: int,
     return warmup_steps
 
 
-def _warmup(cfg: SelectionConfig, provider, warmup_steps: int,
-            rng: np.random.Generator) -> list[float]:
-    losses = []
-    batch_size = min(cfg.budget_b, provider.n)
-    for _ in range(warmup_steps):
-        batch = rng.choice(provider.n, size=batch_size, replace=False)
-        losses.append(provider.train_step(batch))
-    return losses
+@contextmanager
+def _timed(seconds: dict[str, float], stage: str):
+    """Add the wall time of the ``with`` body to ``seconds[stage]``."""
+    t0 = time.perf_counter()
+    yield
+    seconds[stage] += time.perf_counter() - t0
 
 
-def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
-                 warmup_steps: int | None = None) -> RunReport:
-    """Full adaptive run; see the module docstring for the loop structure."""
+def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
+        warmup_steps: int | None = None) -> RunReport:
+    """One run of ``strategy``; see the module docstring for the loop structure."""
+    if strategy not in STRATEGIES:
+        raise ConfigError(f"unknown strategy '{strategy}', expected one of {list(STRATEGIES)}")
     warmup_steps = _resolve_steps(cfg, provider, total_steps, warmup_steps)
+    adaptive = strategy == "adaptive"
     rng = np.random.default_rng(cfg.seed)
-    stage_seconds = {"warmup": 0.0, "extract": 0.0, "graph": 0.0,
-                     "select": 0.0, "train": 0.0, "check": 0.0}
+    seconds = dict.fromkeys(STAGES if adaptive else ("warmup", "select", "train"), 0.0)
 
-    t0 = time.perf_counter()
-    warmup_losses = _warmup(cfg, provider, warmup_steps, rng)
-    stage_seconds["warmup"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    rows, scores = extract_checked(provider, list(range(provider.n)))
-    emb = EmbeddingTable(rows)
-    ledger = ScoreLedger.from_scores(scores, step=provider.step, window=cfg.t_c + 1)
-    stage_seconds["extract"] = time.perf_counter() - t0
-
-    t0 = time.perf_counter()
-    graph = build_graph(emb, cfg.k)
-    lsh = build_lsh_index(emb, seed=cfg.seed)
-    stage_seconds["graph"] = time.perf_counter() - t0
+    with _timed(seconds, "warmup"):
+        size = min(cfg.budget_b, provider.n)
+        warmup_losses = [provider.train_step(rng.choice(provider.n, size=size, replace=False))
+                         for _ in range(warmup_steps)]
+    if adaptive:
+        with _timed(seconds, "extract"):
+            rows, scores = extract_checked(provider, list(range(provider.n)))
+            emb = EmbeddingTable(rows)
+            ledger = ScoreLedger.from_scores(scores, step=provider.step, window=cfg.t_c + 1)
+        with _timed(seconds, "graph"):
+            graph = build_graph(emb, cfg.k)
+            lsh = build_lsh_index(emb, seed=cfg.seed)
 
     intervals: list[IntervalRecord] = []
     plans: list[UpdatePlan] = []
@@ -141,114 +168,44 @@ def run_adaptive(cfg: SelectionConfig, provider, total_steps: int,
         start = provider.step
         interval_len = min(cfg.t_c, total_steps - start)
 
-        t0 = time.perf_counter()
-        candidates = np.sort(rng.choice(provider.n, size=cfg.n_s, replace=False))
-        warped = selection_scores(ledger, cfg)
-        selection = select_coreset(candidates, cfg.budget_b, emb, warped, cfg.lambda_blend)
-        stage_seconds["select"] += time.perf_counter() - t0
+        objective, gains = None, []
+        with _timed(seconds, "select"):
+            if adaptive:
+                candidates = np.sort(rng.choice(provider.n, size=cfg.n_s, replace=False))
+                warped = selection_scores(ledger, cfg)
+                selection = select_coreset(candidates, cfg.budget_b, emb, warped,
+                                           cfg.lambda_blend)
+                members = selection.members
+                objective, gains = selection.objective_value, selection.gains
+            elif strategy == "full-data":
+                members = list(range(provider.n))
+            elif strategy == "random-fixed-interval" or not intervals:
+                members = sorted(int(i) for i in rng.choice(provider.n, size=cfg.budget_b,
+                                                            replace=False))
+            else:  # random-static keeps its first draw
+                members = list(intervals[0].members)
 
-        t0 = time.perf_counter()
-        members = np.asarray(selection.members, dtype=np.int64)  # insertion order
         losses = []
-        for _ in range(interval_len):
-            losses.append(provider.train_step(members))
-            _, member_scores = extract_checked(provider, members, emb.d)
-            ledger.record(members, provider.step, member_scores)
-        stage_seconds["train"] += time.perf_counter() - t0
+        with _timed(seconds, "train"):
+            batch = np.asarray(members, dtype=np.int64)  # insertion order
+            for _ in range(interval_len):
+                losses.append(provider.train_step(batch))
+                if adaptive:
+                    _, member_scores = extract_checked(provider, batch, emb.d)
+                    ledger.record(batch, provider.step, member_scores)
 
         check = None
-        if interval_len == cfg.t_c:
-            t0 = time.perf_counter()
-            plan, graph = check_and_update(graph, emb, ledger, members, provider, cfg, rng, lsh)
-            stage_seconds["check"] += time.perf_counter() - t0
+        if adaptive and interval_len == cfg.t_c:
+            with _timed(seconds, "check"):
+                plan, graph = check_and_update(graph, emb, ledger, batch, provider, cfg, rng,
+                                               lsh)
             plans.append(plan)
             check = plan.event()
+        intervals.append(IntervalRecord(start_step=start, end_step=provider.step,
+                                        members=members, objective=objective, gains=gains,
+                                        losses=losses, check=check))
 
-        intervals.append(IntervalRecord(
-            start_step=start,
-            end_step=provider.step,
-            members=selection.members,
-            objective=selection.objective_value,
-            gains=selection.gains,
-            losses=losses,
-            check=check,
-        ))
-
-    return RunReport(
-        strategy="adaptive",
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        total_steps=total_steps,
-        warmup_steps=warmup_steps,
-        warmup_losses=warmup_losses,
-        intervals=intervals,
-        final_loss=provider.full_loss(),
-        stage_seconds=stage_seconds,
-        plans=plans,
-    )
-
-
-def run_baseline(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
-                 warmup_steps: int | None = None) -> RunReport:
-    """Identical loop skeleton with the selection rule substituted."""
-    if strategy not in ("random-static", "random-fixed-interval", "full-data"):
-        raise ConfigError(f"unknown baseline strategy '{strategy}'")
-    warmup_steps = _resolve_steps(cfg, provider, total_steps, warmup_steps)
-    rng = np.random.default_rng(cfg.seed)
-    stage_seconds = {"warmup": 0.0, "select": 0.0, "train": 0.0}
-
-    t0 = time.perf_counter()
-    warmup_losses = _warmup(cfg, provider, warmup_steps, rng)
-    stage_seconds["warmup"] = time.perf_counter() - t0
-
-    static_members: list[int] | None = None
-    if strategy == "random-static":
-        static_members = sorted(int(i) for i in rng.choice(provider.n, size=cfg.budget_b,
-                                                           replace=False))
-    intervals: list[IntervalRecord] = []
-    while provider.step < total_steps:
-        start = provider.step
-        interval_len = min(cfg.t_c, total_steps - start)
-
-        t0 = time.perf_counter()
-        if strategy == "random-static":
-            members = list(static_members)
-        elif strategy == "random-fixed-interval":
-            members = sorted(int(i) for i in rng.choice(provider.n, size=cfg.budget_b,
-                                                        replace=False))
-        else:
-            members = list(range(provider.n))
-        stage_seconds["select"] += time.perf_counter() - t0
-
-        t0 = time.perf_counter()
-        losses = [provider.train_step(members) for _ in range(interval_len)]
-        stage_seconds["train"] += time.perf_counter() - t0
-
-        intervals.append(IntervalRecord(
-            start_step=start,
-            end_step=provider.step,
-            members=members,
-            objective=None,
-            gains=[],
-            losses=losses,
-            check=None,
-        ))
-
-    return RunReport(
-        strategy=strategy,
-        seed=cfg.seed,
-        config=cfg.to_dict(),
-        total_steps=total_steps,
-        warmup_steps=warmup_steps,
-        warmup_losses=warmup_losses,
-        intervals=intervals,
-        final_loss=provider.full_loss(),
-        stage_seconds=stage_seconds,
-    )
-
-
-def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
-        warmup_steps: int | None = None) -> RunReport:
-    if strategy == "adaptive":
-        return run_adaptive(cfg, provider, total_steps, warmup_steps)
-    return run_baseline(strategy, cfg, provider, total_steps, warmup_steps)
+    return RunReport(strategy=strategy, seed=cfg.seed, config=cfg.to_dict(),
+                     total_steps=total_steps, warmup_steps=warmup_steps,
+                     warmup_losses=warmup_losses, intervals=intervals,
+                     final_loss=provider.full_loss(), stage_seconds=seconds, plans=plans)

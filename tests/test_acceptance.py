@@ -16,7 +16,7 @@ from conftest import brute_force_coreset, mutual_knn_oracle, positive_table
 from coresel.cli import main as cli_main
 from coresel.dynamics import propagate_scores, qualifying_anchor_sets
 from coresel.knn_graph import build_graph, build_lsh_index, repair_graph
-from coresel.orchestrator import run_adaptive, run_baseline
+from coresel.orchestrator import run
 from coresel.scoring import WarpParams, warped_scores
 from coresel.selector import coreset_objective, select_coreset
 from coresel.simulator import SimState
@@ -137,7 +137,7 @@ def test_criterion_03_propagation_closed_form():
 
 
 def test_criterion_04_change_stability_over_simulated_run():
-    report = run_adaptive(_e2e_config(0), _e2e_sim(0), total_steps=500, warmup_steps=50)
+    report = run("adaptive", _e2e_config(0), _e2e_sim(0), total_steps=500, warmup_steps=50)
     rounds = 0
     nodes = 0
     violations = 0
@@ -229,14 +229,14 @@ def test_criterion_07_adaptive_check_logic():
                                  seed=7)
     frozen_sim = SimState.create(n=600, dim=10, classes=4, cluster_spread=1.5,
                                  learning_rate=0.2, seed=7, freeze_at=20)
-    frozen = run_adaptive(frozen_cfg, frozen_sim, total_steps=200, warmup_steps=20)
+    frozen = run("adaptive", frozen_cfg, frozen_sim, total_steps=200, warmup_steps=20)
     assert len(frozen.plans) >= 3
     assert all(p.delta_I == 0.0 for p in frozen.plans)
     assert all(not p.triggered for p in frozen.plans)
 
     drift_sim = SimState.create(n=600, dim=10, classes=4, cluster_spread=1.5,
                                 learning_rate=0.2, seed=7, drift=0.02)
-    eager = run_adaptive(frozen_cfg, drift_sim, total_steps=200, warmup_steps=20)
+    eager = run("adaptive", frozen_cfg, drift_sim, total_steps=200, warmup_steps=20)
     assert len(eager.plans) >= 3
     assert all(p.triggered for p in eager.plans)
     print(f"\nACCEPTANCE 7 PASS: frozen provider 0/{len(frozen.plans)} triggers with "
@@ -274,10 +274,10 @@ def test_criterion_09_end_to_end_directional():
     seeds = range(5)
     summary = []
     for seed in seeds:
-        adaptive = run_adaptive(_e2e_config(seed), _e2e_sim(seed),
-                                total_steps=500, warmup_steps=50)
-        static = run_baseline("random-static", _e2e_config(seed), _e2e_sim(seed),
-                              total_steps=500, warmup_steps=50)
+        adaptive = run("adaptive", _e2e_config(seed), _e2e_sim(seed),
+                       total_steps=500, warmup_steps=50)
+        static = run("random-static", _e2e_config(seed), _e2e_sim(seed),
+                     total_steps=500, warmup_steps=50)
         triggered = sum(p.triggered for p in adaptive.plans)
         skipped = sum(not p.triggered for p in adaptive.plans)
         assert triggered >= 1

@@ -319,6 +319,42 @@ def test_report_renders_csv(tmp_path):
     assert steps == list(range(1, 41))
 
 
+@pytest.mark.parametrize("doc, what", [
+    ([1, 2], "JSON object"),
+    ({"intervals": [{"x": 1}]}, "warmup_losses"),
+    ({"warmup_losses": 5}, "warmup_losses"),
+    ({"warmup_losses": [0.5], "intervals": [{"x": 1}]}, "start_step"),
+    ({"warmup_losses": [], "intervals": [{"start_step": True, "losses": [0.5]}]}, "start_step"),
+    ({"warmup_losses": [], "intervals": [{"start_step": 0, "losses": ["0.5"]}]}, "losses"),
+    ({"warmup_losses": [], "intervals": {"start_step": 0}}, "intervals"),
+])
+def test_report_rejects_malformed_document(tmp_path, capsys, doc, what):
+    # a report that is valid JSON but not a report document is a format error
+    # (exit 3, one stderr line, no output), not a traceback
+    path = tmp_path / "report.json"
+    path.write_text(json.dumps(doc))
+    out = tmp_path / "losses.csv"
+    assert main(["report", "--report", str(path), "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and what in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("strategy, stages", [
+    ("adaptive", "warmup extract graph select train check"),
+    ("random-static", "warmup select train"),
+    ("random-fixed-interval", "warmup select train"),
+    ("full-data", "warmup select train"),
+])
+def test_run_prints_stage_seconds_in_order(tmp_path, capsys, strategy, stages):
+    cfg = run_config(tmp_path, run={"strategy": strategy})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    head, loss, *timings = capsys.readouterr().err.split()
+    assert head == f"strategy={strategy}" and loss.startswith("final_loss=")
+    assert [t.partition("=")[0] for t in timings] == stages.split()
+    assert all(t.endswith("s") and float(t.partition("=")[2][:-1]) >= 0.0 for t in timings)
+
+
 def test_run_accepts_infinite_delta(tmp_path):
     # JSON Infinity literal: the check threshold that can never fire
     cfg = run_config(tmp_path, selection={"delta": float("inf")})

@@ -13,7 +13,7 @@ import pytest
 
 from coresel import dynamics, orchestrator
 from coresel.errors import ConfigError, DataError
-from coresel.orchestrator import loss_rows, run, run_adaptive, run_baseline
+from coresel.orchestrator import loss_rows, run
 from coresel.simulator import SimState
 from coresel.store import SelectionConfig
 
@@ -39,7 +39,7 @@ def test_single_interval_run():
     rng = np.random.default_rng(0)
     for _ in range(10):
         sim.train_step(rng.choice(sim.n, size=24, replace=False))
-    report = run_adaptive(cfg, sim, total_steps=10 + cfg.t_c, warmup_steps=0)
+    report = run("adaptive", cfg, sim, total_steps=10 + cfg.t_c, warmup_steps=0)
     assert len(report.intervals) == 1
     assert len(report.plans) == 1
     assert report.intervals[0].check is not None
@@ -55,7 +55,7 @@ def test_budget_accounting_exact():
 
 def test_interval_chunking_with_truncation():
     cfg = _cfg(t_c=15)
-    report = run_adaptive(cfg, _sim(), total_steps=50, warmup_steps=10)
+    report = run("adaptive", cfg, _sim(), total_steps=50, warmup_steps=10)
     lengths = [rec.end_step - rec.start_step for rec in report.intervals]
     assert lengths == [15, 15, 10]
     # the truncated final interval fires no check
@@ -64,24 +64,24 @@ def test_interval_chunking_with_truncation():
 
 def test_delta_inf_never_triggers_delta_zero_always():
     total, warm = 100, 10
-    quiet = run_adaptive(_cfg(delta=math.inf), _sim(), total, warm)
+    quiet = run("adaptive", _cfg(delta=math.inf), _sim(), total, warm)
     assert len(quiet.plans) >= 2
     assert all(not p.triggered for p in quiet.plans)
-    eager = run_adaptive(_cfg(delta=0.0), _sim(), total, warm)
+    eager = run("adaptive", _cfg(delta=0.0), _sim(), total, warm)
     assert all(p.triggered for p in eager.plans)
     assert all(p.delta_I > 0.0 for p in eager.plans)
 
 
 def test_replay_is_byte_identical():
     def once():
-        report = run_adaptive(_cfg(), _sim(), total_steps=200, warmup_steps=20)
+        report = run("adaptive", _cfg(), _sim(), total_steps=200, warmup_steps=20)
         return json.dumps(report.to_dict(), sort_keys=True)
 
     assert once() == once()
 
 
 def test_candidate_sampling_without_replacement():
-    report = run_adaptive(_cfg(), _sim(), total_steps=60, warmup_steps=15)
+    report = run("adaptive", _cfg(), _sim(), total_steps=60, warmup_steps=15)
     for rec in report.intervals:
         assert len(rec.members) == len(set(rec.members))
         assert len(rec.members) == 24
@@ -89,15 +89,33 @@ def test_candidate_sampling_without_replacement():
 
 def test_static_with_full_budget_equals_full_data():
     cfg = _cfg(budget_b=300, n_s=300)
-    a = run_baseline("random-static", cfg, _sim(), total_steps=45, warmup_steps=0)
-    b = run_baseline("full-data", cfg, _sim(), total_steps=45, warmup_steps=0)
+    a = run("random-static", cfg, _sim(), total_steps=45, warmup_steps=0)
+    b = run("full-data", cfg, _sim(), total_steps=45, warmup_steps=0)
     assert a.final_loss == b.final_loss
     assert [r.losses for r in a.intervals] == [r.losses for r in b.intervals]
 
 
+@pytest.mark.parametrize("strategy", ["random-static", "random-fixed-interval"])
+def test_baseline_members_replay_the_rng_draws(strategy):
+    # one generator seeded with cfg.seed: the warm-up batches first, then one
+    # draw for random-static or one per interval for random-fixed-interval
+    cfg, sim = _cfg(), _sim()
+    report = run(strategy, cfg, sim, total_steps=70, warmup_steps=10)
+    assert len(report.intervals) == 4
+    rng = np.random.default_rng(cfg.seed)
+    for _ in range(10):
+        rng.choice(sim.n, size=cfg.budget_b, replace=False)
+    draws = 1 if strategy == "random-static" else len(report.intervals)
+    replayed = [sorted(int(i) for i in rng.choice(sim.n, size=cfg.budget_b, replace=False))
+                for _ in range(draws)]
+    if strategy == "random-static":
+        replayed *= len(report.intervals)
+    assert [rec.members for rec in report.intervals] == replayed
+
+
 def test_two_seeds_same_schema_different_members():
-    a = run_baseline("random-fixed-interval", _cfg(seed=1), _sim(seed=1), 60, 15)
-    b = run_baseline("random-fixed-interval", _cfg(seed=2), _sim(seed=2), 60, 15)
+    a = run("random-fixed-interval", _cfg(seed=1), _sim(seed=1), 60, 15)
+    b = run("random-fixed-interval", _cfg(seed=2), _sim(seed=2), 60, 15)
     assert a.to_dict().keys() == b.to_dict().keys()
     assert any(ra.members != rb.members for ra, rb in zip(a.intervals, b.intervals))
 
@@ -119,7 +137,7 @@ def test_comparison_triple_shares_structure():
 
 
 def test_warmup_defaults_to_ten_percent():
-    report = run_adaptive(_cfg(), _sim(), total_steps=100)
+    report = run("adaptive", _cfg(), _sim(), total_steps=100)
     assert report.warmup_steps == 10
     assert len(report.warmup_losses) == 10
 
@@ -127,18 +145,18 @@ def test_warmup_defaults_to_ten_percent():
 def test_config_errors_fire_before_any_work():
     sim = _sim()
     with pytest.raises(ConfigError):
-        run_adaptive(_cfg(n_s=400), sim, total_steps=60, warmup_steps=10)  # n_s > n
+        run("adaptive", _cfg(n_s=400), sim, total_steps=60, warmup_steps=10)  # n_s > n
     with pytest.raises(ConfigError):
-        run_adaptive(_cfg(), sim, total_steps=10, warmup_steps=0)  # < t_c
+        run("adaptive", _cfg(), sim, total_steps=10, warmup_steps=0)  # < t_c
     with pytest.raises(ConfigError):
-        run_adaptive(_cfg(), sim, total_steps=60, warmup_steps=60)
+        run("adaptive", _cfg(), sim, total_steps=60, warmup_steps=60)
     with pytest.raises(ConfigError):
-        run_baseline("nonsense", _cfg(), sim, 60, 10)
+        run("nonsense", _cfg(), sim, 60, 10)
     assert sim.step == 0
 
 
 def test_update_events_schema():
-    report = run_adaptive(_cfg(delta=0.0, delta_h=0.0), _sim(), 60, 15)
+    report = run("adaptive", _cfg(delta=0.0, delta_h=0.0), _sim(), 60, 15)
     events = report.update_events()
     assert len(events) == len(report.plans)
     for event in events:
@@ -149,14 +167,14 @@ def test_update_events_schema():
 
 
 def test_selection_events_schema():
-    report = run_adaptive(_cfg(), _sim(), 45, 15)
+    report = run("adaptive", _cfg(), _sim(), 45, 15)
     for event in report.selection_events():
         assert set(event) == {"step", "members", "objective", "gains"}
         assert len(event["members"]) == 24
 
 
 def test_loss_rows_cover_every_step():
-    report = run_adaptive(_cfg(), _sim(), 70, 10)
+    report = run("adaptive", _cfg(), _sim(), 70, 10)
     rows = loss_rows(report.to_dict())
     assert [s for s, _ in rows] == list(range(1, 71))
 
@@ -170,7 +188,7 @@ def test_one_qualifying_pass_per_check(monkeypatch):
         return qualify(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "qualifying_anchor_sets", counted)
-    report = run_adaptive(_cfg(delta=0.0, delta_h=0.0, seed=5), _sim(seed=5), 75, 15)
+    report = run("adaptive", _cfg(delta=0.0, delta_h=0.0, seed=5), _sim(seed=5), 75, 15)
     with_recal = [p for p in report.plans if p.recal_set]
     assert with_recal and any(p.graph_repaired for p in with_recal)
     assert [tuple(c) for c in calls] == [p.recal_set for p in with_recal]
@@ -179,7 +197,7 @@ def test_one_qualifying_pass_per_check(monkeypatch):
 def test_adaptive_selection_uses_fresh_scores():
     # with delta=0 + drift, propagated/recomputed scores shift selection inputs;
     # the run must stay internally consistent and reproducible
-    report = run_adaptive(_cfg(delta=0.0, delta_h=0.0, seed=5), _sim(seed=5), 75, 15)
+    report = run("adaptive", _cfg(delta=0.0, delta_h=0.0, seed=5), _sim(seed=5), 75, 15)
     triggered = [p for p in report.plans if p.triggered]
     assert triggered
     assert any(p.graph_repaired for p in report.plans)
@@ -213,7 +231,7 @@ def _run_with_fault(call, patch):
     # Call 1 is the initial full extract; call 2 the first train step's members.
     provider = _FaultyProvider(_sim(), call, patch)
     with pytest.raises(DataError) as info:
-        run_adaptive(_cfg(), provider, total_steps=40, warmup_steps=10)
+        run("adaptive", _cfg(), provider, total_steps=40, warmup_steps=10)
     assert provider.calls == call
     return str(info.value)
 
@@ -261,7 +279,7 @@ def test_select_probe_fires_once_per_interval(monkeypatch):
         return select(*args, **kwargs)
 
     monkeypatch.setattr(orchestrator, "select_coreset", probe)
-    report = run_adaptive(_cfg(), _sim(), total_steps=70, warmup_steps=10)
+    report = run("adaptive", _cfg(), _sim(), total_steps=70, warmup_steps=10)
     assert len(report.intervals) == 4
     assert len(calls) == len(report.intervals)
 

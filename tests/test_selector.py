@@ -435,7 +435,7 @@ def test_selection_does_not_import_numpy_ma():
     code = (
         "import sys\n"
         "import numpy as np\n"
-        "from coresel.orchestrator import run_adaptive\n"
+        "from coresel.orchestrator import run\n"
         "from coresel.selector import select_coreset\n"
         "from coresel.simulator import SimState\n"
         "from coresel.store import EmbeddingTable, SelectionConfig\n"
@@ -447,7 +447,7 @@ def test_selection_does_not_import_numpy_ma():
         "                      n_s_check=12, delta=0.0, delta_h=0.0, seed=5)\n"
         "sim = SimState.create(seed=5, n=300, dim=6, classes=4, cluster_spread=1.0,\n"
         "                      learning_rate=0.2, drift=0.02)\n"
-        "report = run_adaptive(cfg, sim, 75, 15)\n"
+        "report = run('adaptive', cfg, sim, 75, 15)\n"
         "assert any(p.graph_repaired and p.anchor_sets for p in report.plans), 'no repair'\n"
         "assert 'numpy.ma' not in sys.modules, 'numpy.ma imported by the adaptive loop'\n"
     )
