@@ -32,6 +32,7 @@ from .store import (
     check_keys,
     ingest_embeddings,
     load_score_stream,
+    opened,
     write_embeddings,
     write_score_stream,
 )
@@ -51,8 +52,12 @@ def _write_all(files: dict[str, str | bytes]) -> None:
         for path, payload in files.items():
             if isinstance(payload, str):
                 payload = payload.encode("utf-8")
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-", suffix=".part")
+            try:
+                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                           prefix=".tmp-", suffix=".part")
+            except OSError as exc:
+                exc.filename = path    # the path asked for, not the temp file's
+                raise
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
@@ -91,13 +96,24 @@ def _jsonl(records) -> str:
     return "".join(json.dumps(r, allow_nan=False) + "\n" for r in records)
 
 
+# The simulator block of a run config, and the flags of ``simulate``: name -> type.
+# ``SimState.create`` states the defaults of the keys not required.
+SIM_KEYS = {"n": int, "dim": int, "classes": int, "cluster_spread": float,
+            "learning_rate": float, "drift_rate": float}
+SIM_REQUIRED = ("n", "dim", "classes")
+
+
+def _read_json(path: str, what: str):
+    try:
+        with opened(path, "r") as fh:
+            return json.load(fh)
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{what} file {path} is not valid JSON: {exc}") from exc
+
+
 def load_run_config(path: str):
     """Parse and validate the nested run-config document."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"config file {path} is not valid JSON: {exc}") from exc
+    raw = _read_json(path, "config")
     if not isinstance(raw, dict):
         raise ConfigError("config document must be a JSON object")
     blocks = ("selection", "run", "simulator")
@@ -113,22 +129,16 @@ def load_run_config(path: str):
                           f"got '{strategy}'")
 
     sim_block = raw["simulator"]
-    check_keys(sim_block, {"n": int, "dim": int, "classes": int, "cluster_spread": float,
-                           "learning_rate": float, "drift_rate": float},
-               ("n", "dim", "classes"), "in simulator block")
+    check_keys(sim_block, SIM_KEYS, SIM_REQUIRED, "in simulator block")
     return cfg, strategy, run_block["total_steps"], run_block.get("warmup_steps"), sim_block
 
 
-def _build_sim(cfg: SelectionConfig, sim_block: dict) -> SimState:
-    return SimState.create(
-        n=sim_block["n"],
-        dim=sim_block["dim"],
-        classes=sim_block["classes"],
-        cluster_spread=sim_block.get("cluster_spread", 1.0),
-        learning_rate=sim_block.get("learning_rate", 0.1),
-        seed=cfg.seed,
-        drift=sim_block.get("drift_rate", 0.0),
-    )
+def _build_sim(seed: int, params: dict) -> SimState:
+    """The simulator of ``params``' SIM_KEYS; an absent or None key takes its default."""
+    kwargs = {key: params[key] for key in SIM_KEYS if params.get(key) is not None}
+    if "drift_rate" in kwargs:
+        kwargs["drift"] = kwargs.pop("drift_rate")
+    return SimState.create(seed=seed, **kwargs)
 
 
 def cmd_build_graph(args) -> int:
@@ -162,15 +172,9 @@ def cmd_select(args) -> int:
 
 
 def cmd_simulate(args) -> int:
-    sim = SimState.create(
-        n=args.n,
-        dim=args.dim,
-        classes=args.classes,
-        cluster_spread=args.cluster_spread,
-        learning_rate=args.learning_rate,
-        seed=args.seed,
-        drift=args.drift_rate,
-    )
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be >= 0, got {args.steps}")
+    sim = _build_sim(args.seed, vars(args))
     rng = np.random.default_rng(args.seed)
     batch = min(64, sim.n)
     for _ in range(args.steps):
@@ -191,7 +195,7 @@ def cmd_check(args) -> int:
     cfg, _, total_steps, warmup_steps, sim_block = load_run_config(args.config)
     if warmup_steps is None:
         warmup_steps = default_warmup(total_steps)
-    sim = _build_sim(cfg, sim_block)
+    sim = _build_sim(cfg.seed, sim_block)
     report = run("adaptive", cfg, sim, warmup_steps + cfg.t_c, warmup_steps)
     events = report.update_events()
     _emit(_jsonl(events), args.out)
@@ -202,7 +206,7 @@ def cmd_check(args) -> int:
 
 def cmd_run(args) -> int:
     cfg, strategy, total_steps, warmup_steps, sim_block = load_run_config(args.config)
-    sim = _build_sim(cfg, sim_block)
+    sim = _build_sim(cfg.seed, sim_block)
     report = run(strategy, cfg, sim, total_steps, warmup_steps)
     os.makedirs(args.out_dir, exist_ok=True)
     _write_all({
@@ -218,11 +222,7 @@ def cmd_run(args) -> int:
 
 
 def cmd_report(args) -> int:
-    try:
-        with open(args.report, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise DataError(f"report file {args.report} is not valid JSON: {exc}") from exc
+    doc = _read_json(args.report, "report")
     text = "step,loss\n" + "".join(f"{step},{loss}\n" for step, loss in loss_rows(doc))
     _emit(text, args.out)
     return 0
@@ -246,21 +246,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scores", required=True)
     p.add_argument("--budget", type=int, required=True)
     p.add_argument("--eta", type=float, required=True)
-    p.add_argument("--lambda-blend", dest="lambda_blend", type=float, default=0.6)
-    p.add_argument("--gamma", type=float, default=1.0)
+    p.add_argument("--lambda-blend", dest="lambda_blend", type=float,
+                   default=SelectionConfig.lambda_blend)
+    p.add_argument("--gamma", type=float, default=SelectionConfig.gamma_temp)
     p.add_argument("--raw-warp", action="store_true",
                    help="skip modal normalization of warped scores")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_select)
 
     p = sub.add_parser("simulate", help="train the toy model and emit fixture files")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--dim", type=int, required=True)
-    p.add_argument("--classes", type=int, required=True)
+    for key, kind in SIM_KEYS.items():
+        p.add_argument("--" + key.replace("_", "-"), type=kind, required=key in SIM_REQUIRED)
     p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--cluster-spread", dest="cluster_spread", type=float, default=1.0)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=0.1)
-    p.add_argument("--drift-rate", dest="drift_rate", type=float, default=0.0)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--out-embeddings", dest="out_embeddings", required=True)
     p.add_argument("--out-scores", dest="out_scores", required=True)

@@ -49,7 +49,6 @@ class SimState:
     labels: np.ndarray               # (n,)
     weights: np.ndarray              # (c, d), zeros before any training
     learning_rate: float
-    seed: int
     step: int = 0
     drift: float | np.ndarray | None = None   # per-step covariate shift magnitude
     freeze_at: int | None = None              # stop weight updates from this step on
@@ -70,7 +69,6 @@ class SimState:
             labels=labels,
             weights=np.zeros((classes, dim)),
             learning_rate=learning_rate,
-            seed=seed,
             drift=drift,
             freeze_at=freeze_at,
             drift_dirs=dirs,

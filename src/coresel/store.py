@@ -88,12 +88,18 @@ class EmbeddingTable:
 @contextmanager
 def opened(file, mode: str):
     """Yield ``file`` itself if it is a file object, which stays open; else open the
-    path in ``mode``, as UTF-8 in a text mode, and close it on exit."""
+    path in ``mode``, as UTF-8 in a text mode, and close it on exit. A path read in a
+    text mode that is not UTF-8 raises FormatError naming it."""
     if hasattr(file, "read" if "r" in mode else "write"):
         yield file
         return
     with open(file, mode, encoding=None if "b" in mode else "utf-8") as fh:
-        yield fh
+        try:
+            yield fh
+        except UnicodeDecodeError as exc:
+            if "b" in mode:
+                raise
+            raise FormatError(f"file {file} is not UTF-8 text ({exc.reason})") from None
 
 
 def ingest_embeddings(source) -> EmbeddingTable:
@@ -120,9 +126,20 @@ def ingest_embeddings(source) -> EmbeddingTable:
 
 
 def write_embeddings(table: EmbeddingTable, target) -> None:
-    """Serialize a table in the binary embedding format (float32 payload)."""
+    """Serialize a table in the binary embedding format (float32 payload).
+
+    DataError names the first value beyond float32's range, which the cast would
+    turn into an infinity that ``ingest_embeddings`` rejects; nothing is written.
+    """
     header = _HEADER.pack(EMBEDDING_MAGIC, EMBEDDING_VERSION, table.n, table.d)
-    payload = np.ascontiguousarray(table.rows, dtype="<f4").tobytes()
+    with np.errstate(over="ignore"):
+        rows = np.ascontiguousarray(table.rows, dtype="<f4")
+    bad = np.argwhere(np.isinf(rows))
+    if bad.size:
+        r, c = (int(v) for v in bad[0])
+        raise DataError(f"embedding value {table.rows[r, c]:.6g} at row {r}, col {c} "
+                        f"is beyond float32's range")
+    payload = rows.tobytes()
     with opened(target, "wb") as fh:
         fh.write(header)
         fh.write(payload)

@@ -151,6 +151,17 @@ def test_select_rejects_truncated_or_boolean_stream_values(tmp_path, emb_file, e
     assert "line 2" in capsys.readouterr().err
 
 
+def test_select_blend_and_temperature_default_to_selection_config(emb_file, scores_file, capsys):
+    argv = ["select", "--embeddings", emb_file, "--scores", scores_file,
+            "--budget", "5", "--eta", "0.1"]
+    assert main(argv) == 0
+    bare = capsys.readouterr().out
+    assert main(argv + ["--lambda-blend", "0.6", "--gamma", "1.0"]) == 0
+    assert capsys.readouterr().out == bare
+    assert main(argv + ["--lambda-blend", "0.3"]) == 0
+    assert capsys.readouterr().out != bare
+
+
 # ---------------------------------------------------------------------------
 # simulate
 # ---------------------------------------------------------------------------
@@ -183,6 +194,51 @@ def test_simulate_deterministic(tmp_path):
     assert outs[0] == outs[1]
 
 
+def _simulate(out_dir, *flags, steps="15"):
+    out_dir.mkdir()
+    return main(["simulate", "--n", "60", "--dim", "5", "--classes", "3", "--steps", steps,
+                 "--seed", "4", *flags, "--out-embeddings", str(out_dir / "emb.bin"),
+                 "--out-scores", str(out_dir / "scores.jsonl")])
+
+
+def test_simulate_optional_flags_default_to_simstate_create(tmp_path):
+    defaults = {"--cluster-spread": "1.0", "--learning-rate": "0.1", "--drift-rate": "0.0"}
+    assert _simulate(tmp_path / "bare") == 0
+    bare = _contents(tmp_path / "bare")
+    explicit = [arg for flag in defaults.items() for arg in flag]
+    assert _simulate(tmp_path / "explicit", *explicit) == 0
+    assert _contents(tmp_path / "explicit") == bare
+    for flag in defaults:  # each flag reaches the simulator
+        assert _simulate(tmp_path / flag, flag, "0.05") == 0
+        assert _contents(tmp_path / flag) != bare
+
+
+def test_simulate_value_beyond_float32_is_data_error(tmp_path, capsys):
+    # logits beyond float32's range would be written as infinities that build-graph rejects
+    out_dir = tmp_path / "out"
+    assert _simulate(out_dir, "--cluster-spread", "1e30", steps="2") == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "row 0, col 0 is beyond float32's range" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_simulate_rejects_negative_steps(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    assert _simulate(out_dir, steps="-3") == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "--steps" in err
+    assert list(out_dir.iterdir()) == []
+
+
+def test_write_into_missing_directory_names_the_given_path(tmp_path, capsys):
+    emb = tmp_path / "emb.bin"
+    scores = str(tmp_path / "missing" / "s.jsonl")
+    assert main(["simulate", "--n", "20", "--dim", "2", "--classes", "2", "--steps", "2",
+                 "--out-embeddings", str(emb), "--out-scores", scores]) == 3
+    assert capsys.readouterr().err == f"error: file not found: {scores}\n"
+    assert not emb.exists()
+
+
 # ---------------------------------------------------------------------------
 # run / check / report
 # ---------------------------------------------------------------------------
@@ -199,6 +255,22 @@ def test_run_minimal_config(tmp_path):
     assert len(events) == 3  # three full intervals
     selections = open(os.path.join(out_dir, "selections.jsonl")).read().strip().split("\n")
     assert len(selections) == 3
+
+
+def test_run_simulator_block_defaults_come_from_simstate_create(tmp_path):
+    explicit = run_config(tmp_path, simulator={"cluster_spread": 1.0, "learning_rate": 0.1,
+                                               "drift_rate": 0.0})
+    doc = json.loads(open(explicit).read())
+    for key in ("cluster_spread", "learning_rate", "drift_rate"):
+        del doc["simulator"][key]
+    bare = tmp_path / "bare.json"
+    bare.write_text(json.dumps(doc))
+    outs = []
+    for tag, cfg in (("explicit-out", explicit), ("bare-out", str(bare))):
+        assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / tag)]) == 0
+        outs.append(_contents(tmp_path / tag))
+    assert sorted(outs[0]) == ["events.jsonl", "report.json", "selections.jsonl"]
+    assert outs[0] == outs[1]
 
 
 def test_run_rejects_bad_lambda(tmp_path, capsys):
@@ -337,6 +409,24 @@ def test_report_rejects_malformed_document(tmp_path, capsys, doc, what):
     assert main(["report", "--report", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and err.startswith("error:") and what in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["run", "check", "report", "select"])
+def test_non_utf8_input_is_format_error(tmp_path, emb_file, capsys, command):
+    # a config, report or score stream that is not UTF-8: exit 3 with one line, no output
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\n" if command == "select" else b"\xff\xfe{}")
+    out = tmp_path / "out"
+    assert main({
+        "run": ["run", "--config", str(bad), "--out-dir", str(out)],
+        "check": ["check", "--config", str(bad), "--out", str(out)],
+        "report": ["report", "--report", str(bad), "--out", str(out)],
+        "select": ["select", "--embeddings", emb_file, "--scores", str(bad),
+                   "--budget", "5", "--eta", "0.1", "--out", str(out)],
+    }[command]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith("error:") and "bad.json is not UTF-8" in err
     assert not out.exists()
 
 

@@ -904,6 +904,13 @@ def test_load_graph_rejects_weight_outside_unit_interval(bad):
         load_graph(_dump_lines(records))
 
 
+def test_load_graph_not_utf8_is_format_error(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    path.write_bytes(_dump_lines(_GOOD).getvalue().encode() + b"\xff\xfe\n")
+    with pytest.raises(FormatError, match="graph.jsonl is not UTF-8"):
+        load_graph(path)
+
+
 def test_load_graph_accepts_unit_interval_end_weights():
     records = json.loads(json.dumps(_GOOD))
     records[0]["w"], records[1]["w"] = [0.0], [0.0, 1.0]

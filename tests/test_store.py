@@ -118,6 +118,18 @@ def test_table_rejects_empty_and_nonfinite():
         EmbeddingTable([[0.0, np.inf]])
 
 
+def test_write_rejects_value_beyond_float32_range(tmp_path):
+    # the float32 cast would write an infinity that ingest_embeddings rejects;
+    # float32's largest value itself still round-trips
+    top = float(np.finfo(np.float32).max)
+    path = tmp_path / "emb.bin"
+    with pytest.raises(DataError, match=r"row 1, col 0 is beyond float32's range"):
+        write_embeddings(EmbeddingTable([[1.0, -top], [-1e39, 1e39]]), path)
+    assert not path.exists()
+    write_embeddings(EmbeddingTable([[1.0, -top], [top, 0.0]]), path)
+    assert ingest_embeddings(path).rows[0, 1] == -top
+
+
 # ---------------------------------------------------------------------------
 # score ledger
 # ---------------------------------------------------------------------------
@@ -331,6 +343,13 @@ def test_ledger_matches_list_reference(window, calls):
 def test_score_stream_malformed_line():
     with pytest.raises(FormatError, match="line 2"):
         load_score_stream(io.StringIO('{"id": 0, "step": 1, "score": 1.0}\n{"id": 0}\n'), 1)
+
+
+def test_score_stream_not_utf8_is_format_error(tmp_path):
+    path = tmp_path / "scores.jsonl"
+    path.write_bytes(b'{"id": 0, "step": 1, "score": 1.0}\n\xff\n')
+    with pytest.raises(FormatError, match="scores.jsonl is not UTF-8"):
+        load_score_stream(path, 1)
 
 
 @settings(max_examples=80, deadline=None)
