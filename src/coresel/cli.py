@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import errno
 import io
 import json
 import os
@@ -44,20 +45,21 @@ def _write_all(files: dict[str, str | bytes]) -> None:
     Each payload goes to a temp file beside its path. Then, path by path, an
     existing file is renamed aside and the temp file renamed into place. A
     failure anywhere undoes the renames done so far, latest first, and removes
-    the temp files before re-raising.
+    the temp files before re-raising. A path that is a directory raises
+    IsADirectoryError before anything is written, and every OSError names the
+    path asked for, not a temp file.
     """
+    for path in files:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
     temps: list[str] = []
     undo: list[tuple[str, str | None]] = []    # (src, dst): rename back, or remove src
     try:
         for path, payload in files.items():
             if isinstance(payload, str):
                 payload = payload.encode("utf-8")
-            try:
-                fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                           prefix=".tmp-", suffix=".part")
-            except OSError as exc:
-                exc.filename = path    # the path asked for, not the temp file's
-                raise
+            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
+                                       prefix=".tmp-", suffix=".part")
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
                 fh.write(payload)
@@ -67,7 +69,7 @@ def _write_all(files: dict[str, str | bytes]) -> None:
                 undo.append((tmp + ".old", path))
             os.replace(tmp, path)
             undo.append((path, None))
-    except BaseException:
+    except BaseException as exc:
         for src, dst in reversed(undo):
             with contextlib.suppress(OSError):
                 if dst is None:
@@ -77,6 +79,8 @@ def _write_all(files: dict[str, str | bytes]) -> None:
         for tmp in temps:
             with contextlib.suppress(FileNotFoundError):
                 os.unlink(tmp)
+        if isinstance(exc, OSError) and exc.errno is not None:
+            raise OSError(exc.errno, exc.strerror, path) from exc  # the errno's subclass
         raise
     for src, dst in undo:
         if dst is not None:

@@ -12,6 +12,7 @@ which the k-NN graph is locally repaired.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -230,9 +231,9 @@ def propagate_embeddings(g: MutualKnnGraph, emb: EmbeddingTable, recal_new_rows:
     return out
 
 
-def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger,
-                     last_core, provider, cfg, rng: np.random.Generator,
-                     lsh: LshIndex | None = None) -> tuple[UpdatePlan, MutualKnnGraph]:
+def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: EmbeddingTable,
+                     ledger: ScoreLedger, last_core, provider, cfg, rng: np.random.Generator,
+                     lsh: LshIndex | None = None) -> tuple[UpdatePlan, MutualKnnGraph | Callable]:
     """One full adaptive check; mutates emb/ledger in place on trigger.
 
     Probes a sample of the last coreset, recomputes the probe's current
@@ -243,6 +244,11 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
     from a provider error or mis-shaped or non-finite provider output
     (DataError) to an error inside the repair, leaves emb and ledger as they
     were. ``lsh`` holds only hyperplanes, so no check changes it.
+
+    ``g`` is the graph, or a zero-argument builder of it: only a triggered
+    check reads the graph, so the builder is called then, once, before
+    anything else reads it or any embedding moves. Returns the plan and the
+    graph as it now stands (still the builder if this check did not trigger).
     """
     core = id_set(last_core, ledger.n, "core id")
     if not core.size:
@@ -269,6 +275,8 @@ def check_and_update(g: MutualKnnGraph, emb: EmbeddingTable, ledger: ScoreLedger
         plan = UpdatePlan(step=current_step, triggered=bool(delta_i > cfg.delta), delta_I=delta_i)
         if not plan.triggered:
             return plan, g
+        if not isinstance(g, MutualKnnGraph):
+            g = g()
 
         recal = select_recal_set(g, ledger, current_step, cfg.k_recal)
         plan.recal_set = recal

@@ -1,4 +1,4 @@
-"""End-to-end training loop: warm-up, graph build, select/train/check cycle.
+"""End-to-end training loop: warm-up, then a select/train/check cycle.
 
 ``run`` is the one loop for every strategy. Each trains the provider for
 exactly ``total_steps`` gradient steps (warm-up included), so runs compare at
@@ -7,10 +7,12 @@ int64 array, in insertion order. Strategies differ only in those members:
 ``adaptive`` selects a blended-objective coreset from a fresh candidate draw,
 ``random-static`` draws ``budget_b`` ids once, ``random-fixed-interval``
 draws them every interval and ``full-data`` takes every id. Only ``adaptive``
-builds the graph, extracts and records member scores at every step, and runs
-the adaptive check after each full interval. Each of its provider extracts
-goes through ``extract_checked``, so malformed or non-finite provider output
-raises DataError before any use.
+extracts member scores at every step, records an interval's scores in one
+ledger write at its end, and runs the adaptive check after each full interval.
+Its k-NN graph is built by the first check that triggers, the first reader of
+it; embeddings change only after that, so it is the graph of the set-up
+embeddings. Each provider extract goes through ``extract_checked``, so
+malformed or non-finite provider output raises DataError before any use.
 """
 
 from __future__ import annotations
@@ -131,12 +133,22 @@ def _resolve_steps(cfg: SelectionConfig, provider, total_steps: int,
     return warmup_steps
 
 
-@contextmanager
-def _timed(seconds: dict[str, float], stage: str):
-    """Add the wall time of the ``with`` body to ``seconds[stage]``."""
-    t0 = time.perf_counter()
-    yield
-    seconds[stage] += time.perf_counter() - t0
+class _Clock:
+    """Exclusive wall seconds per stage: a stage timed inside another counts only for itself."""
+
+    def __init__(self, stages):
+        self.seconds = dict.fromkeys(stages, 0.0)
+        self._nested: list[float] = []  # per open stage, the seconds of stages inside it
+
+    @contextmanager
+    def __call__(self, stage: str):
+        t0 = time.perf_counter()
+        self._nested.append(0.0)
+        yield
+        spent = time.perf_counter() - t0
+        self.seconds[stage] += spent - self._nested.pop()
+        if self._nested:
+            self._nested[-1] += spent
 
 
 def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
@@ -147,20 +159,23 @@ def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
     warmup_steps = _resolve_steps(cfg, provider, total_steps, warmup_steps)
     adaptive = strategy == "adaptive"
     rng = np.random.default_rng(cfg.seed)
-    seconds = dict.fromkeys(STAGES if adaptive else ("warmup", "select", "train"), 0.0)
+    timed = _Clock(STAGES if adaptive else ("warmup", "select", "train"))
 
-    with _timed(seconds, "warmup"):
+    with timed("warmup"):
         size = min(cfg.budget_b, provider.n)
         warmup_losses = [provider.train_step(rng.choice(provider.n, size=size, replace=False))
                          for _ in range(warmup_steps)]
     if adaptive:
-        with _timed(seconds, "extract"):
+        with timed("extract"):
             rows, scores = extract_checked(provider, list(range(provider.n)))
             emb = EmbeddingTable(rows)
             ledger = ScoreLedger.from_scores(scores, step=provider.step, window=cfg.t_c + 1)
-        with _timed(seconds, "graph"):
-            graph = build_graph(emb, cfg.k)
+        with timed("graph"):
             lsh = build_lsh_index(emb, seed=cfg.seed)
+
+        def graph():  # check_and_update calls it once, at the first check that triggers
+            with timed("graph"):
+                return build_graph(emb, cfg.k)
 
     intervals: list[IntervalRecord] = []
     plans: list[UpdatePlan] = []
@@ -169,7 +184,7 @@ def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
         interval_len = min(cfg.t_c, total_steps - start)
 
         objective, gains = None, []
-        with _timed(seconds, "select"):
+        with timed("select"):
             if adaptive:
                 candidates = np.sort(rng.choice(provider.n, size=cfg.n_s, replace=False))
                 warped = selection_scores(ledger, cfg)
@@ -185,18 +200,20 @@ def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
             else:  # random-static keeps its first draw
                 members = list(intervals[0].members)
 
-        losses = []
-        with _timed(seconds, "train"):
+        losses, steps, block = [], [], []
+        with timed("train"):
             batch = np.asarray(members, dtype=np.int64)  # insertion order
             for _ in range(interval_len):
                 losses.append(provider.train_step(batch))
                 if adaptive:
-                    _, member_scores = extract_checked(provider, batch, emb.d)
-                    ledger.record(batch, provider.step, member_scores)
+                    steps.append(provider.step)
+                    block.append(extract_checked(provider, batch, emb.d)[1])
+            if adaptive:  # nothing reads the ledger inside an interval
+                ledger.record(batch, steps, np.array(block))
 
         check = None
         if adaptive and interval_len == cfg.t_c:
-            with _timed(seconds, "check"):
+            with timed("check"):
                 plan, graph = check_and_update(graph, emb, ledger, batch, provider, cfg, rng,
                                                lsh)
             plans.append(plan)
@@ -208,4 +225,5 @@ def run(strategy: str, cfg: SelectionConfig, provider, total_steps: int,
     return RunReport(strategy=strategy, seed=cfg.seed, config=cfg.to_dict(),
                      total_steps=total_steps, warmup_steps=warmup_steps,
                      warmup_losses=warmup_losses, intervals=intervals,
-                     final_loss=provider.full_loss(), stage_seconds=seconds, plans=plans)
+                     final_loss=provider.full_loss(), stage_seconds=timed.seconds,
+                     plans=plans)

@@ -10,6 +10,7 @@ genuine training dynamics rather than mocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -74,6 +75,11 @@ class SimState:
             drift_dirs=dirs,
         )
 
+    @cached_property
+    def drift_field(self) -> np.ndarray:
+        """Each sample's shift per unit of drift; ``labels`` and ``drift_dirs`` never change."""
+        return self.drift_dirs[self.labels]
+
     @property
     def n(self) -> int:
         return self.data.shape[0]
@@ -101,7 +107,7 @@ class SimState:
             raise DomainError("batch must be nonempty")
         m = self._drift_magnitude()
         if m != 0.0:
-            self.data += m * self.drift_dirs[self.labels]
+            self.data += m * self.drift_field
         x = self.data[ids]
         y = self.labels[ids]
         probs = softmax(x @ self.weights.T)

@@ -182,38 +182,53 @@ class ScoreLedger:
         return self.scores[:, -1]
 
     def record(self, sample_ids, step, scores, replace: bool = False) -> None:
-        """Append one entry per distinct id at ``step`` (scalar or one per id), all or none.
+        """Append entries for distinct ids, all or none.
 
-        With ``replace``, an entry at a sample's last recorded step overwrites
-        it; otherwise steps must strictly increase.
+        ``scores`` holds one score per id at ``step`` (scalar or one per id),
+        or is a (t, len(ids)) block whose row r holds every id's score at
+        ``step[r]``, t strictly increasing steps. With ``replace``, an entry at
+        a sample's last recorded step overwrites it (not in a block); otherwise
+        steps must strictly increase.
         """
         ids = np.atleast_1d(np.asarray(sample_ids))
         vals = np.atleast_1d(np.asarray(scores, dtype=np.float64))
-        if ids.ndim != 1 or vals.shape != ids.shape:
+        block = vals.ndim == 2
+        if ids.ndim != 1 or vals.shape[block:] != ids.shape:
             raise DomainError(f"record needs one score per id, got {vals.shape} for {ids.shape}")
+        if block:
+            if replace:
+                raise DomainError("a block of scores takes no replace")
+            if np.shape(step) != vals.shape[:1]:
+                raise DomainError(f"a block of {len(vals)} rows needs {len(vals)} steps, "
+                                  f"got shape {np.shape(step)}")
+            at = np.asarray(step)
+            if (np.diff(at) <= 0).any():
+                raise OrderingError(f"block steps must strictly increase, got {at.tolist()}")
+            at = np.broadcast_to(at[:, None], vals.shape)
+        else:
+            vals, at = vals.reshape(1, -1), np.broadcast_to(np.asarray(step), (1, ids.size))
         if not ids.size:
             return
         if id_set(ids, self.n, "sample id").size != ids.size:
             raise DomainError("sample ids of one record call must be distinct")
-        at = np.broadcast_to(np.asarray(step), ids.shape)
         ok = (at >= 0) & np.isfinite(vals) & (vals >= 0.0)
         if not ok.all():
-            i, t, v = ids[~ok][0], at[~ok][0], float(vals[~ok][0])
+            i, t, v = np.broadcast_to(ids, vals.shape)[~ok][0], at[~ok][0], float(vals[~ok][0])
             if t < 0:
                 raise DomainError(f"step for sample {i} must be >= 0, got {t}")
             if not np.isfinite(v):
                 raise DomainError(f"score for sample {i} must be finite, got {v!r}")
             raise DomainError(f"score for sample {i} must be >= 0, got {v}")
-        last = self.steps[ids, -1]
-        same = (at == last) & replace
-        late = (at <= last) & ~same
+        last, first = self.steps[ids, -1], at[0]
+        same = (first == last) & replace
+        late = (first <= last) & ~same
         if late.any():
-            raise OrderingError(f"step {at[late][0]} for sample {ids[late][0]} is not after "
+            raise OrderingError(f"step {first[late][0]} for sample {ids[late][0]} is not after "
                                 f"last recorded step {last[late][0]}")
-        rows = ids[~same]
-        self.steps[rows] = np.column_stack((self.steps[rows, 1:], at[~same]))
-        self.scores[rows] = np.column_stack((self.scores[rows, 1:], vals[~same]))
-        self.scores[ids[same], -1] = vals[same]
+        rows, new, w = ids[~same], len(vals), self.steps.shape[1]  # new entries per row
+        self.steps[rows] = np.column_stack((self.steps[rows, new:], at[-w:, ~same].T))
+        self.scores[rows] = np.column_stack((self.scores[rows, new:], vals[-w:, ~same].T))
+        self.scores[ids[same], -1] = vals[0, same]
 
     def score_at(self, sample_id: int, step: int) -> float:
         row = self.steps[sample_id].tolist()

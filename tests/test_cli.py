@@ -3,11 +3,12 @@
 import json
 import os
 import struct
+import time
 
 import numpy as np
 import pytest
 
-from coresel import cli, selector
+from coresel import cli, orchestrator, selector
 from coresel.cli import main
 from coresel.simulator import SimState
 from coresel.orchestrator import default_warmup
@@ -445,6 +446,24 @@ def test_run_prints_stage_seconds_in_order(tmp_path, capsys, strategy, stages):
     assert all(t.endswith("s") and float(t.partition("=")[2][:-1]) >= 0.0 for t in timings)
 
 
+def test_graph_seconds_are_not_counted_as_check(tmp_path, capsys, monkeypatch):
+    # the first triggered check builds the graph; the build's seconds go to graph only
+    pause = 0.3
+    build = orchestrator.build_graph
+
+    def slow(*args, **kwargs):
+        time.sleep(pause)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "build_graph", slow)
+    cfg = run_config(tmp_path, selection={"delta": 0.0})
+    assert main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")]) == 0
+    _, _, *timings = capsys.readouterr().err.split()
+    seconds = {key: float(value[:-1]) for key, _, value in (t.partition("=") for t in timings)}
+    assert list(seconds) == ["warmup", "extract", "graph", "select", "train", "check"]
+    assert seconds["graph"] >= pause > seconds["check"]
+
+
 def test_run_accepts_infinite_delta(tmp_path):
     # JSON Infinity literal: the check threshold that can never fire
     cfg = run_config(tmp_path, selection={"delta": float("inf")})
@@ -553,6 +572,18 @@ def test_no_partial_files_on_failure(tmp_path, emb_file):
     code = main(["build-graph", "--embeddings", emb_file, "--k", "5", "--out", out])
     assert code == 3
     assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("out", ["outdir", "."])
+def test_directory_as_output_file_is_named(tmp_path, emb_file, capsys, monkeypatch, out):
+    # the error names the path given, not a temp file, and no temp file is left behind
+    cwd = tmp_path / "cwd"
+    (cwd / "outdir").mkdir(parents=True)
+    monkeypatch.chdir(cwd)
+    code = main(["build-graph", "--embeddings", emb_file, "--k", "5", "--out", out])
+    assert code == 3
+    assert capsys.readouterr().err == f"error: expected a file: {out}\n"
+    assert list(tmp_path.rglob(".tmp-*")) == []
 
 
 def test_run_failing_provider_leaves_no_output_files(tmp_path, monkeypatch, capsys):

@@ -2,6 +2,7 @@
 
 import io
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -593,13 +594,14 @@ class _PatchedProvider:
 
 
 def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_graph=False,
-                                      with_lsh=False, fault=None):
+                                      with_lsh=False, fault=None, builder=None):
     """Run a triggering check through a patched provider; it must raise and change nothing.
 
     ``window`` sizes the ledger (default t_c + 1); ``reload_graph`` swaps the
     graph for its dump's reload, which has no directed lists to repair from.
     ``with_lsh`` gives the check an LSH index, so a failing repair runs on
     LSH candidates; ``fault()`` runs just before the check, to plant a failure.
+    ``builder`` takes the graph's place, as the deferred build the check calls.
     """
     cfg = _cfg(delta=0.0, delta_h=0.0)
     sim = SimState.create(n=80, dim=6, classes=3, learning_rate=0.3, seed=7, drift=0.05)
@@ -622,7 +624,7 @@ def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_g
     if fault is not None:
         fault()
     with pytest.raises(error, match=match):
-        check_and_update(graph, emb, ledger, members, provider, cfg, gen, lsh=lsh)
+        check_and_update(builder or graph, emb, ledger, members, provider, cfg, gen, lsh=lsh)
     assert np.array_equal(ledger.current, current_before)
     assert [ledger.history(i) for i in range(ledger.n)] == histories_before
     assert np.array_equal(ledger.steps, steps_before)
@@ -658,6 +660,41 @@ def test_check_repair_failure_restores_embeddings_ledger_and_lsh(monkeypatch):
     _assert_failed_check_leaves_state(
         lambda call, rows, scores: (rows, scores), MemoryError, "injected", with_lsh=True,
         fault=lambda: monkeypatch.setattr(knn_graph, "_screened_rows", out_of_memory))
+
+
+def test_check_failed_deferred_build_leaves_state():
+    # The build runs after the stale probe scores are recorded; its failure undoes them.
+    def out_of_memory():
+        raise MemoryError("injected in the deferred build")
+
+    _assert_failed_check_leaves_state(lambda call, rows, scores: (rows, scores), MemoryError,
+                                      "deferred build", builder=out_of_memory)
+
+
+def test_check_calls_the_deferred_build_once_at_the_first_trigger():
+    cfg = _cfg(delta=0.05, delta_h=0.0)
+    sim = SimState.create(n=100, dim=6, classes=3, learning_rate=0.3, seed=3, drift=0.05)
+    rng, emb, ledger, graph = _prepare(sim, cfg)
+    built = []
+
+    def build():  # before any embedding moves, so it is the set-up graph, bit for bit
+        built.append(build_graph(emb, cfg.k))
+        for name in ("knn_ids", "knn_d2", "mutual", "weights"):
+            assert np.array_equal(getattr(built[-1], name), getattr(graph, name))
+        return built[-1]
+
+    members, plans, builds, current = list(range(0, 32)), [], [], build
+    for delta in (math.inf, 0.0, 0.0):
+        _train_interval(sim, ledger, members, cfg.t_c)
+        plan, current = check_and_update(current, emb, ledger, members, sim,
+                                         replace(cfg, delta=delta), rng)
+        plans.append(plan)
+        builds.append(len(built))
+        assert (current is build) == (not built)
+    assert [p.triggered for p in plans] == [False, True, True]
+    assert builds == [0, 1, 1]
+    assert plans[1].graph_repaired
+    audit_graph(current, emb)
 
 
 def test_check_unrepairable_graph_raises_before_any_change():

@@ -303,3 +303,32 @@ def test_every_name_e2ebench_gates_import_from_coresel_exists():
     missing = [f"{module}.{name}" for module, name in imports
                if not hasattr(importlib.import_module(module), name)]
     assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# the graph is built by the first check that triggers
+# ---------------------------------------------------------------------------
+
+def _wide_pool(seed):
+    """e2ebench's wide-pool workload at program seed ``seed``: no drift, delta 0.3."""
+    cfg = SelectionConfig(budget_b=128, n_s=768, budget_eta=0.1, delta=0.3, t_c=25, k=10,
+                          k_recal=32, seed=seed)
+    sim = SimState.create(n=2000, dim=16, classes=5, cluster_spread=2.5, learning_rate=0.1,
+                          seed=seed, drift=0.0)
+    return cfg, sim
+
+
+@pytest.mark.parametrize("seed, builds", [(12, 0), (11, 1)])
+def test_graph_is_built_at_the_first_triggered_check(monkeypatch, seed, builds):
+    calls = []
+    build = orchestrator.build_graph
+
+    def spy(*args, **kwargs):
+        calls.append(1)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(orchestrator, "build_graph", spy)
+    report = run("adaptive", *_wide_pool(seed), total_steps=300, warmup_steps=50)
+    assert any(p.triggered for p in report.plans) == bool(builds)
+    assert len(calls) == builds
+

@@ -198,3 +198,17 @@ def test_drift_schedule_array():
     assert not np.array_equal(base, moved)
     sim.train_step(range(10))
     assert np.array_equal(sim.data, moved)  # schedule exhausted to zero
+
+
+def test_state_built_directly_drifts_as_create_builds_it():
+    # SimState is a plain dataclass: one built field by field must drift the same
+    made = SimState.create(n=60, dim=5, classes=3, learning_rate=0.2, seed=4, drift=0.03)
+    direct = SimState(data=made.data.copy(), labels=made.labels.copy(),
+                      weights=made.weights.copy(), learning_rate=0.2, drift=0.03,
+                      drift_dirs=made.drift_dirs.copy())
+    for _ in range(5):
+        for sim in (made, direct):
+            sim.train_step(range(0, 60, 2))
+    assert np.array_equal(made.data, direct.data)
+    assert np.array_equal(made.weights, direct.weights)
+    assert not np.array_equal(made.data, SimState.create(n=60, dim=5, classes=3, seed=4).data)

@@ -196,6 +196,41 @@ def test_batched_record_is_all_or_none():
     assert ledger.history(2) == [(3, 4.0)] and ledger.history(1) == [(3, 0.5)]
 
 
+@pytest.mark.parametrize("window, t", [(4, 3), (4, 4), (3, 5)])
+def test_block_record_equals_one_record_per_step(rng, window, t):
+    # an interval's (t, b) block of member scores in one write, longer than the window or not
+    ids = np.array([4, 0, 3])
+    steps = np.arange(7, 7 + t)
+    block = rng.uniform(0.0, 2.0, size=(t, ids.size))
+    one, per_step = ScoreLedger(6, window), ScoreLedger(6, window)
+    for ledger in (one, per_step):
+        ledger.record(ids, 2, [1.0, 2.0, 3.0])
+    one.record(ids, steps, block)
+    for step, row in zip(steps, block):
+        per_step.record(ids, int(step), row)
+    assert np.array_equal(one.steps, per_step.steps)
+    assert np.array_equal(one.scores, per_step.scores)
+
+
+@pytest.mark.parametrize("steps, block, error", [
+    ([5, 5], [[1.0, 2.0], [1.0, 2.0]], OrderingError),          # step not increasing
+    ([5, 4], [[1.0, 2.0], [1.0, 2.0]], OrderingError),
+    ([5, 6], [[1.0, 2.0], [1.0, float("nan")]], DomainError),   # NaN score
+    ([5, 6], [[1.0, 2.0], [-1.0, 2.0]], DomainError),
+    ([3, 6], [[1.0, 2.0], [1.0, 2.0]], OrderingError),          # not after the last entry
+    ([5, 6, 7], [[1.0, 2.0], [1.0, 2.0]], DomainError),         # one step per row
+])
+def test_bad_block_record_changes_nothing(steps, block, error):
+    ledger = ScoreLedger(3, window=3)
+    ledger.record([0, 2], 4, [0.5, 0.25])
+    before = ledger.steps.copy(), ledger.scores.copy()
+    with pytest.raises(error):
+        ledger.record([2, 0], steps, block)
+    with pytest.raises(DomainError, match="replace"):
+        ledger.record([2, 0], [5, 6], [[1.0, 2.0], [1.0, 2.0]], replace=True)
+    assert np.array_equal(ledger.steps, before[0]) and np.array_equal(ledger.scores, before[1])
+
+
 def test_score_at():
     ledger = ScoreLedger(1, window=2)
     ledger.record(0, 1, 1.0)
