@@ -1,6 +1,7 @@
 """Graph-guided adaptive coreset selection with a desk-scale training simulator."""
 
 from .dynamics import (
+    AnchorSets,
     UpdatePlan,
     affinity,
     check_and_update,
@@ -8,6 +9,7 @@ from .dynamics import (
     embedding_shift,
     propagate_embeddings,
     propagate_scores,
+    qualifying_anchor_sets,
     select_recal_set,
     uniqueness,
     update_priority,

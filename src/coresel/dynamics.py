@@ -24,21 +24,46 @@ from .store import EmbeddingTable, ScoreLedger, id_set
 AFFINITY_SCORE_SCALE = 0.1  # exp(-0.1 * |score gap|) factor of the affinity
 
 
+@dataclass(frozen=True)
+class AnchorSets:
+    """The affinity-qualified (node, anchor) pairs of one check, as arrays.
+
+    ``anchors`` and ``nodes`` are sorted ids, no node an anchor. Pair p, in
+    (node, anchor) order, joins ``nodes[node_idx[p]]`` to
+    ``anchors[anchor_idx[p]]`` with edge weight ``w[p]``; ``w_sum`` is each
+    node's total weight. ``len()`` is the number of nodes.
+    """
+
+    anchors: np.ndarray
+    nodes: np.ndarray
+    node_idx: np.ndarray
+    anchor_idx: np.ndarray
+    w: np.ndarray
+    w_sum: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.nodes)
+
+
 @dataclass
 class UpdatePlan:
-    """Everything one check decided and changed, for auditing and event logs."""
+    """Everything one check decided and changed, for auditing and event logs.
+
+    ``recal_scores`` follows ``recal_set``; ``propagated_scores`` and
+    ``old_scores`` (before propagation) follow ``anchor_sets.nodes``.
+    """
 
     step: int
     triggered: bool
     delta_I: float
     recal_set: tuple[int, ...] = ()
-    recal_scores: dict[int, float] = field(default_factory=dict)
+    recal_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     delta_H: float | None = None
-    propagated_scores: dict[int, float] = field(default_factory=dict)
+    propagated_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
     propagated_embeddings: tuple[int, ...] = ()  # ids whose rows blended toward anchors
     graph_repaired: bool = False
-    old_scores: dict[int, float] = field(default_factory=dict)
-    anchor_sets: dict[int, tuple[int, ...]] = field(default_factory=dict)
+    old_scores: np.ndarray = field(default_factory=lambda: np.zeros(0))
+    anchor_sets: AnchorSets | None = None
 
     def event(self) -> dict:
         return {
@@ -142,7 +167,7 @@ def affinity(g: MutualKnnGraph, ledger: ScoreLedger, i, j):
 
 
 def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
-                           beta_aff: float) -> dict[int, tuple[int, ...]]:
+                           beta_aff: float) -> AnchorSets:
     """For each non-anchor: its anchor neighbors with affinity above the threshold."""
     anchor_ids = id_set(anchors, g.n, "anchor id")
     is_anchor = np.zeros(g.n, dtype=bool)
@@ -150,85 +175,61 @@ def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
     slots = g.mutual[anchor_ids]  # mutual slots hold no -1 padding: nodes index is_anchor
     nodes, owners = g.knn_ids[anchor_ids][slots], np.repeat(anchor_ids, slots.sum(axis=1))
     keep = ~is_anchor[nodes] & (affinity(g, ledger, nodes, owners) > beta_aff)
-    out: dict[int, tuple[int, ...]] = {}
-    for i, j in sorted(zip(nodes[keep].tolist(), owners[keep].tolist())):
-        out[i] = out.get(i, ()) + (j,)
-    return out
+    order = np.lexsort((owners[keep], nodes[keep]))  # no pair twice: mutual slots are distinct
+    nodes, owners = nodes[keep][order], owners[keep][order]
+    first = np.diff(nodes, prepend=-1) != 0
+    node_idx, w = np.cumsum(first) - 1, g.weight(nodes, owners)
+    return AnchorSets(anchor_ids, nodes[first], node_idx, np.searchsorted(anchor_ids, owners), w,
+                      np.bincount(node_idx, weights=w))
 
 
-def _qualified_pairs(g: MutualKnnGraph, anchor_sets: dict, new_values: dict):
-    """The (node, anchor) pairs of ``anchor_sets`` as arrays, in its order.
-
-    Returns the qualifying nodes; per pair, the node's index into them, the
-    anchor and the edge weight; and each node's total weight. Raises
-    DomainError when a set names an anchor without an entry in ``new_values``,
-    or belongs to an anchor, whose new value must stay verbatim.
-    """
-    nodes = np.fromiter(anchor_sets, dtype=np.int64, count=len(anchor_sets))
-    pos = np.repeat(np.arange(len(nodes)), [len(q) for q in anchor_sets.values()])
-    owners = np.array([j for q in anchor_sets.values() for j in q], dtype=np.int64)
-    unknown = [j for j in owners.tolist() if j not in new_values]
-    if unknown:
-        raise DomainError(f"anchor set names {unknown[0]}, which has no new value")
-    if any(i in new_values for i in anchor_sets):
-        raise DomainError("anchor sets must belong to non-anchors only")
-    w = g.weight(nodes[pos], owners)
-    return nodes, pos, owners, w, np.bincount(pos, weights=w, minlength=len(nodes))
-
-
-def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new: dict,
-                     anchor_sets: dict) -> dict[int, float]:
+def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new,
+                     anchor_sets: AnchorSets) -> np.ndarray:
     """Closed-form propagation of recomputed scores to qualified neighbors.
 
-    Anchors keep their recomputed values verbatim. Every non-anchor with a
-    nonempty qualified set N* in ``anchor_sets`` (as ``qualifying_anchor_sets``
-    returns them) moves to 1/2 * old + 1/2 * sum of normalized-weight averages
-    of the anchors' new scores, the minimizer of
-    1/2 (x - old)^2 + 1/2 * sum_j alpha_j (x - new_j)^2. Nothing else changes.
+    ``recal_new`` holds the anchors' recomputed scores in ``anchor_sets.anchors``
+    order. Returns one score per id of ``anchors`` followed by ``nodes``:
+    anchors keep their recomputed values verbatim, and each node moves to
+    1/2 * old + 1/2 * sum of normalized-weight averages of its anchors' new
+    scores, the minimizer of 1/2 (x - old)^2 + 1/2 * sum_j alpha_j (x - new_j)^2.
     """
-    for a, v in recal_new.items():
-        if not 0 <= int(a) < g.n:
-            raise DomainError(f"anchor id {a} out of range [0, {g.n})")
-        if not math.isfinite(v) or v < 0.0:
-            raise DomainError(f"anchor score for {a} must be finite and >= 0, got {v!r}")
-    out = {int(a): float(v) for a, v in recal_new.items()}
-    nodes, pos, owners, w, w_sum = _qualified_pairs(g, anchor_sets, out)
-    new = np.array([out[j] for j in owners.tolist()], dtype=np.float64)
-    blended = np.bincount(pos, weights=w / w_sum[pos] * new, minlength=len(nodes))
-    out.update(zip(nodes.tolist(), (0.5 * ledger.current[nodes] + 0.5 * blended).tolist()))
-    return out
+    s = anchor_sets
+    new = np.asarray(recal_new, dtype=np.float64)
+    if new.shape != s.anchors.shape or not (np.isfinite(new) & (new >= 0.0)).all():
+        raise DomainError(f"anchor scores must be finite and >= 0 with shape ({len(s.anchors)},), "
+                          f"got {new!r}")
+    blended = np.bincount(s.node_idx, weights=s.w / s.w_sum[s.node_idx] * new[s.anchor_idx])
+    return np.concatenate((new, 0.5 * ledger.current[s.nodes] + 0.5 * blended))
 
 
-def embedding_shift(old_rows: dict, new_rows: dict) -> float:
-    """Mean Euclidean displacement over the recomputed samples."""
-    if set(old_rows) != set(new_rows):
-        raise DomainError("old and new embedding maps must share the same sample ids")
-    if not old_rows:
-        raise DomainError("embedding shift needs at least one sample")
+def embedding_shift(old_rows, new_rows) -> float:
+    """Mean Euclidean displacement between two (m, d) arrays of rows, m >= 1."""
+    old, new = np.asarray(old_rows, dtype=np.float64), np.asarray(new_rows, dtype=np.float64)
+    if old.ndim != 2 or old.shape != new.shape or not len(old):
+        raise DomainError(f"embedding shift needs two (m, d) arrays of one shape, m >= 1, "
+                          f"got {old.shape} and {new.shape}")
     total = 0.0
-    for i, old in old_rows.items():
-        old = np.asarray(old, dtype=np.float64)
-        new = np.asarray(new_rows[i], dtype=np.float64)
-        if old.shape != new.shape:
-            raise DomainError(f"sample {i} changed embedding dimension {old.shape} -> {new.shape}")
-        total += float(np.linalg.norm(old - new))
-    return total / len(old_rows)
+    for a, b in zip(old, new):
+        total += float(np.linalg.norm(a - b))
+    return total / len(old)
 
 
-def propagate_embeddings(g: MutualKnnGraph, emb: EmbeddingTable, recal_new_rows: dict,
-                         anchor_sets: dict) -> dict[int, np.ndarray]:
+def propagate_embeddings(g: MutualKnnGraph, emb: EmbeddingTable, recal_new_rows,
+                         anchor_sets: AnchorSets) -> np.ndarray:
     """Blend qualified neighbors halfway toward the weighted anchor average.
 
-    Returns only the rows that change: anchors verbatim plus each non-anchor
-    with a nonempty qualified set in ``anchor_sets``. Edge weights are read
-    from the current graph.
+    ``recal_new_rows``, the anchors' recomputed rows in ``anchor_sets.anchors``
+    order, must be a finite (len(anchors), emb.d) array. Returns one row per
+    id of ``anchors`` (verbatim) followed by ``nodes``.
     """
-    out = {int(a): np.asarray(r, dtype=np.float64).copy() for a, r in recal_new_rows.items()}
-    nodes, pos, owners, w, w_sum = _qualified_pairs(g, anchor_sets, out)
-    acc = np.zeros((len(nodes), emb.d), dtype=np.float64)
-    np.add.at(acc, pos, w[:, None] * np.array([out[j] for j in owners.tolist()]).reshape(-1, emb.d))
-    out.update(zip(nodes.tolist(), 0.5 * emb.rows[nodes] + 0.5 * (acc / w_sum[:, None])))
-    return out
+    s = anchor_sets
+    new = np.asarray(recal_new_rows, dtype=np.float64)
+    if new.shape != (len(s.anchors), emb.d) or not np.isfinite(new).all():
+        raise DomainError(f"anchor rows must be finite with shape ({len(s.anchors)}, {emb.d}), "
+                          f"got shape {new.shape}")
+    acc = np.zeros((len(s), emb.d), dtype=np.float64)
+    np.add.at(acc, s.node_idx, s.w[:, None] * new[s.anchor_idx])
+    return np.concatenate((new, 0.5 * emb.rows[s.nodes] + 0.5 * (acc / s.w_sum[:, None])))
 
 
 def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: EmbeddingTable,
@@ -284,40 +285,31 @@ def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: Embe
             return plan, g
 
         new_rows, new_scores = extract_checked(provider, list(recal), emb.d)
-        recal_score_map = {i: float(s) for i, s in zip(recal, new_scores)}
-        recal_row_map = {i: new_rows[pos] for pos, i in enumerate(recal)}
+        sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
+        scores = propagate_scores(g, ledger, new_scores, sets)
+        ids = np.concatenate((sets.anchors, sets.nodes))  # the order of scores and rows
+        plan.anchor_sets, plan.recal_scores = sets, new_scores
+        plan.propagated_scores, plan.old_scores = scores[len(recal):], ledger.current[sets.nodes]
+        plan.delta_H = embedding_shift(emb.rows[sets.anchors], new_rows)
 
-        plan.anchor_sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
-        score_map = propagate_scores(g, ledger, recal_score_map, plan.anchor_sets)
-        plan.recal_scores = recal_score_map
-        plan.propagated_scores = {i: v for i, v in score_map.items() if i not in recal_score_map}
-        plan.old_scores = {i: float(ledger.current[i]) for i in score_map}
-
-        old_rows = {i: emb.rows[i].copy() for i in recal}
-        plan.delta_H = embedding_shift(old_rows, recal_row_map)
-
-        emb_map: dict[int, np.ndarray] = {}
+        rows = None
         if plan.delta_H > cfg.delta_h:
             require_directed_lists(g)
-            emb_map = propagate_embeddings(g, emb, recal_row_map, plan.anchor_sets)
-            plan.propagated_embeddings = tuple(sorted(set(emb_map) - set(recal)))
+            rows = propagate_embeddings(g, emb, new_rows, sets)
+            plan.propagated_embeddings = tuple(sets.nodes.tolist())
 
         # Apply: scores first (anchors advance t_history, propagated nodes do not).
-        scored = np.fromiter(score_map, dtype=np.int64, count=len(score_map))
-        save(ledger.steps, scored)
-        save(ledger.scores, scored)
-        save(ledger.t_history, np.asarray(recal, dtype=np.int64))
-        ledger.record(list(score_map), current_step, list(score_map.values()), replace=True)
-        for i in recal:
-            ledger.mark_accurate(i, current_step)
+        save(ledger.steps, ids)
+        save(ledger.scores, ids)
+        save(ledger.t_history, sets.anchors)
+        ledger.record(ids, current_step, scores, replace=True)
+        ledger.mark_accurate(sets.anchors, current_step)
 
         new_graph = g
-        if emb_map:
-            changed = sorted(emb_map)
-            save(emb.rows, np.asarray(changed, dtype=np.int64))
-            for i, row in emb_map.items():
-                emb.rows[i] = row
-            new_graph = repair_graph(g, lsh, emb, changed)
+        if rows is not None:
+            save(emb.rows, ids)
+            emb.rows[ids] = rows
+            new_graph = repair_graph(g, lsh, emb, ids)
             plan.graph_repaired = True
     except Exception:
         # Atomicity: put back every row this check overwrote, newest first, and re-raise.

@@ -230,27 +230,34 @@ class ScoreLedger:
         self.scores[rows] = np.column_stack((self.scores[rows, new:], vals[-w:, ~same].T))
         self.scores[ids[same], -1] = vals[0, same]
 
+    def _row(self, sample_id) -> int:
+        """``sample_id`` as a row index; DomainError outside [0, n), so -1 is no row."""
+        return int(id_set((sample_id,), self.n, "sample id")[0])
+
     def score_at(self, sample_id: int, step: int) -> float:
-        row = self.steps[sample_id].tolist()
+        i = self._row(sample_id)
+        row = self.steps[i].tolist()
         if step < 0 or step not in row:
             raise DomainError(f"sample {sample_id} has no recorded score at step {step}")
-        return float(self.scores[sample_id, row.index(step)])
+        return float(self.scores[i, row.index(step)])
 
     def steps_for(self, sample_id: int) -> tuple[int, ...]:
         return tuple(step for step, _ in self.history(sample_id))
 
     def history(self, sample_id: int) -> list[tuple[int, float]]:
-        filled = self.steps[sample_id] >= 0
-        return list(zip(self.steps[sample_id][filled].tolist(),
-                        self.scores[sample_id][filled].tolist()))
+        i = self._row(sample_id)
+        filled = self.steps[i] >= 0
+        return list(zip(self.steps[i][filled].tolist(), self.scores[i][filled].tolist()))
 
-    def mark_accurate(self, sample_id: int, step: int) -> None:
-        if step < self.t_history[sample_id]:
-            raise DomainError(
-                f"t_history for sample {sample_id} may only increase "
-                f"({self.t_history[sample_id]} -> {step})"
-            )
-        self.t_history[sample_id] = step
+    def mark_accurate(self, sample_ids, step: int) -> None:
+        """Set t_history of each id (one or many, repeats collapse) to ``step``, all or none."""
+        ids = id_set(np.atleast_1d(np.asarray(sample_ids)), self.n, "sample id")
+        behind = self.t_history[ids] > step
+        if behind.any():
+            i = ids[behind][0]
+            raise DomainError(f"t_history for sample {i} may only increase "
+                              f"({self.t_history[i]} -> {step})")
+        self.t_history[ids] = step
 
 
 def min_max_normalize(ledger: ScoreLedger) -> np.ndarray:

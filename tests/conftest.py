@@ -166,6 +166,20 @@ def score_lines_reference(text: str) -> list[tuple[int, int, float]]:
     return entries
 
 
+def anchor_dict(sets) -> dict[int, tuple[int, ...]]:
+    """An ``AnchorSets`` as {node: its qualifying anchors}, what a per-node loop builds."""
+    out: dict[int, tuple[int, ...]] = {}
+    for p, a in zip(sets.node_idx.tolist(), sets.anchor_idx.tolist()):
+        node = int(sets.nodes[p])
+        out[node] = out.get(node, ()) + (int(sets.anchors[a]),)
+    return out
+
+
+def by_id(sets, values) -> dict:
+    """A propagation result as {id: score or row}; its order is anchors, then nodes."""
+    return dict(zip(np.concatenate((sets.anchors, sets.nodes)).tolist(), values))
+
+
 def audit_graph(g, emb: EmbeddingTable) -> None:
     """Assert symmetry, degree cap, no self-loops, weight consistency, and that
     the mutual mask marks exactly the slots whose neighbor lists the node back."""

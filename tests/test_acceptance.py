@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from conftest import brute_force_coreset, mutual_knn_oracle, positive_table
+from conftest import anchor_dict, brute_force_coreset, by_id, mutual_knn_oracle, positive_table
 from coresel.cli import main as cli_main
 from coresel.dynamics import propagate_scores, qualifying_anchor_sets
 from coresel.knn_graph import build_graph, build_lsh_index, repair_graph
@@ -122,9 +122,8 @@ def test_criterion_03_propagation_closed_form():
         g = MutualKnnGraph.from_edges(deg + 1, deg,
                                       {(0, j + 1): float(weights[j]) for j in range(deg)})
         ledger = ScoreLedger.from_scores(np.concatenate([[old], news]), step=0)
-        recal_new = {j + 1: float(news[j]) for j in range(deg)}
-        out = propagate_scores(g, ledger, recal_new,
-                               qualifying_anchor_sets(g, ledger, recal_new, beta_aff=0.0))
+        sets = qualifying_anchor_sets(g, ledger, range(1, deg + 1), beta_aff=0.0)
+        out = by_id(sets, propagate_scores(g, ledger, news, sets))
         alphas = weights / weights.sum()
         x_star = numeric_minimize(
             lambda x: 0.5 * (x - old) ** 2 + 0.5 * float(np.sum(alphas * (x - news) ** 2)),
@@ -142,13 +141,13 @@ def test_criterion_04_change_stability_over_simulated_run():
     nodes = 0
     violations = 0
     for plan in report.plans:
-        if not plan.propagated_scores:
+        if not len(plan.propagated_scores):
             continue
         rounds += 1
-        for i, new in plan.propagated_scores.items():
+        sets = plan.anchor_sets
+        for p, (new, old) in enumerate(zip(plan.propagated_scores, plan.old_scores)):
             nodes += 1
-            old = plan.old_scores[i]
-            anchors = plan.anchor_sets[i]
+            anchors = sets.anchor_idx[sets.node_idx == p]  # positions in recal_set
             bound = 0.5 * max(0.0, max(abs(plan.recal_scores[j] - old) for j in anchors))
             if abs(new - old) > bound + 1e-12:
                 violations += 1
@@ -173,11 +172,11 @@ def test_criterion_05_error_contraction_on_lipschitz_instances():
         ledger = ScoreLedger.from_scores(np.maximum(true_scores + noise, 0.0), step=0)
         e_old = ledger.current - true_scores
         anchors = sorted(int(i) for i in rng.choice(n, size=12, replace=False))
-        recal_new = {a: float(true_scores[a]) for a in anchors}
-        qualified = qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.0)
-        out = propagate_scores(g, ledger, recal_new, qualified)
+        sets = qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.0)
+        qualified = anchor_dict(sets)
+        out = by_id(sets, propagate_scores(g, ledger, true_scores[sets.anchors], sets))
         for i, new in out.items():
-            if i in recal_new:
+            if i in anchors:
                 continue
             r_i = max(float(np.linalg.norm(emb.rows[i] - emb.rows[j]))
                       for j in qualified[i])

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
-from conftest import audit_graph, discrepancy_reference
+from conftest import anchor_dict, audit_graph, by_id, discrepancy_reference
 from coresel.dynamics import (
     affinity,
     check_and_update,
@@ -215,7 +215,7 @@ def test_vectorized_dynamics_match_per_node_reference(rng):
                           and wj * math.exp(-0.1 * abs(cur[i] - cur[j])) > 0.9)
         if qualified:
             expected_sets[i] = qualified
-    assert qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.9) == expected_sets
+    assert anchor_dict(qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.9)) == expected_sets
 
 
 def test_recal_complete_graph_selects_one():
@@ -302,9 +302,9 @@ def test_affinity_non_edge_is_error():
 # ---------------------------------------------------------------------------
 
 def _propagate_scores(g, ledger, recal_new, beta_aff):
-    """propagate_scores over the anchor sets that qualify at ``beta_aff``."""
-    return propagate_scores(g, ledger, recal_new,
-                            qualifying_anchor_sets(g, ledger, recal_new, beta_aff))
+    """propagate_scores of {anchor: score} over the sets that qualify at ``beta_aff``, by id."""
+    sets = qualifying_anchor_sets(g, ledger, recal_new, beta_aff)
+    return by_id(sets, propagate_scores(g, ledger, [recal_new[a] for a in sets.anchors], sets))
 
 
 def test_propagation_skips_unqualified_nodes():
@@ -382,21 +382,35 @@ def test_propagation_rejects_bad_anchor():
     g = graph_from_edges(2, {(0, 1): 1.0})
     ledger = ledger_with([1.0, 1.0])
     with pytest.raises(DomainError):
-        propagate_scores(g, ledger, {5: 1.0}, {})
+        qualifying_anchor_sets(g, ledger, [5], 0.0)
     with pytest.raises(DomainError):
-        propagate_scores(g, ledger, {0: -1.0}, {})
+        _propagate_scores(g, ledger, {0: -1.0}, 0.0)
 
 
-def test_propagation_rejects_malformed_anchor_sets():
-    g = graph_from_edges(3, {(0, 1): 1.0, (1, 2): 1.0})
-    ledger = ledger_with([1.0, 1.0, 1.0])
-    sets = {1: (0, 2)}  # anchor 2 has no recomputed value
-    with pytest.raises(DomainError, match="2, which has no new value"):
-        propagate_scores(g, ledger, {0: 1.0}, sets)
-    with pytest.raises(DomainError, match="2, which has no new value"):
-        propagate_embeddings(g, EmbeddingTable(np.eye(3)), {0: np.ones(3)}, sets)
-    with pytest.raises(DomainError, match="non-anchors"):  # 1 is an anchor too
-        propagate_scores(g, ledger, {0: 1.0, 1: 0.5}, {1: (0,)})
+def test_propagation_rejects_misshaped_or_nonfinite_anchor_scores():
+    g = graph_from_edges(2, {(0, 1): 1.0})
+    ledger = ledger_with([1.0, 1.0])
+    sets = qualifying_anchor_sets(g, ledger, [1], 0.0)
+    for scores in ([1.0, 0.5], [[1.0]], [math.nan], [math.inf], [-1.0]):
+        with pytest.raises(DomainError, match=r"must be finite and >= 0 with shape \(1,\)"):
+            propagate_scores(g, ledger, scores, sets)
+
+
+@pytest.mark.parametrize("rows", [
+    [[math.nan, 1.0]],             # used to blend into node 0: its row became [nan, 0.5]
+    [[1.0, -math.inf]],
+    [[1.0]],                       # the wrong widths used to raise numpy's ValueError
+    [[1.0, 0.0, 0.0]],
+    [[1.0, 0.0], [0.0, 1.0]],      # one row per anchor, and there is one anchor
+    [1.0, 0.0],
+])
+def test_embedding_propagation_rejects_bad_anchor_rows(rows):
+    g = graph_from_edges(2, {(0, 1): 1.0})
+    ledger = ledger_with([1.0, 1.0])
+    sets = qualifying_anchor_sets(g, ledger, [1], 0.0)
+    assert len(sets) == 1  # node 0 qualifies, so a bad row would reach it
+    with pytest.raises(DomainError, match=r"anchor rows must be finite with shape \(1, 2\)"):
+        propagate_embeddings(g, EmbeddingTable(np.eye(2)), rows, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -404,26 +418,35 @@ def test_propagation_rejects_malformed_anchor_sets():
 # ---------------------------------------------------------------------------
 
 def test_shift_identical_rows_zero():
-    rows = {0: np.array([1.0, 2.0]), 1: np.array([3.0, 4.0])}
-    assert embedding_shift(rows, {k: v.copy() for k, v in rows.items()}) == 0.0
+    rows = np.array([[1.0, 2.0], [3.0, 4.0]])
+    assert embedding_shift(rows, rows.copy()) == 0.0
 
 
 def test_shift_single_displacement():
-    old = {0: np.zeros(3)}
-    new = {0: np.array([3.0, 0.0, 0.0])}
+    old = np.zeros((1, 3))
+    new = np.array([[3.0, 0.0, 0.0]])
     assert embedding_shift(old, new) == pytest.approx(3.0, abs=1e-12)
 
 
 def test_shift_matches_reference_loop(rng):
-    old = {i: rng.normal(size=6) for i in range(10)}
-    new = {i: rng.normal(size=6) for i in range(10)}
+    old = rng.normal(size=(10, 6))
+    new = rng.normal(size=(10, 6))
     expected = np.mean([np.linalg.norm(old[i] - new[i]) for i in range(10)])
     assert embedding_shift(old, new) == pytest.approx(expected, abs=1e-12)
 
 
 def test_shift_key_mismatch():
+    # rows are matched by position, so the sample sets differ when the row counts do
     with pytest.raises(DomainError):
-        embedding_shift({0: np.zeros(2)}, {1: np.zeros(2)})
+        embedding_shift(np.zeros((1, 2)), np.zeros((2, 2)))
+    with pytest.raises(DomainError):
+        embedding_shift(np.zeros((0, 2)), np.zeros((0, 2)))
+
+
+def _propagate_embeddings(g, ledger, emb, new_rows, beta_aff):
+    """propagate_embeddings of {anchor: row} over the sets that qualify at ``beta_aff``, by id."""
+    sets = qualifying_anchor_sets(g, ledger, new_rows, beta_aff)
+    return by_id(sets, propagate_embeddings(g, emb, [new_rows[a] for a in sets.anchors], sets))
 
 
 def test_embedding_propagation_absent_without_qualifiers():
@@ -431,7 +454,7 @@ def test_embedding_propagation_absent_without_qualifiers():
     ledger = ledger_with([1.0, 1.0, 1.0])
     emb = EmbeddingTable(np.eye(3))
     new_rows = {0: np.array([5.0, 0.0, 0.0])}
-    out = propagate_embeddings(g, emb, new_rows, qualifying_anchor_sets(g, ledger, new_rows, 0.9))
+    out = _propagate_embeddings(g, ledger, emb, new_rows, 0.9)
     assert set(out) == {0}
 
 
@@ -440,7 +463,7 @@ def test_embedding_propagation_midpoint():
     ledger = ledger_with([1.0, 1.0])
     emb = EmbeddingTable([[0.0, 0.0], [4.0, 4.0]])
     new_rows = {0: np.array([2.0, 0.0])}
-    out = propagate_embeddings(g, emb, new_rows, qualifying_anchor_sets(g, ledger, new_rows, 0.1))
+    out = _propagate_embeddings(g, ledger, emb, new_rows, 0.1)
     assert np.allclose(out[1], 0.5 * np.array([4.0, 4.0]) + 0.5 * np.array([2.0, 0.0]))
 
 
@@ -451,7 +474,7 @@ def test_embedding_propagation_weighted_mean(rng):
     ledger = ledger_with([1.0, 1.0, 1.0, 1.0])
     emb = EmbeddingTable(rng.normal(size=(4, 5)))
     new_rows = {j: rng.normal(size=5) for j in (1, 2, 3)}
-    out = propagate_embeddings(g, emb, new_rows, qualifying_anchor_sets(g, ledger, new_rows, 0.0))
+    out = _propagate_embeddings(g, ledger, emb, new_rows, 0.0)
     total_w = sum(weights.values())
     expected = 0.5 * emb.rows[0] + 0.5 * sum(
         w * new_rows[j] for j, w in weights.items()
@@ -531,8 +554,8 @@ def test_check_triggered_scores_only_when_shift_small():
     assert np.array_equal(emb.rows, rows_before)          # embeddings untouched
     assert graph2.edge_set() == edges_before              # graph untouched
     assert not np.array_equal(ledger.current, current_before)  # scores moved
-    for a in plan.recal_set:
-        assert ledger.current[a] == plan.recal_scores[a]
+    for a, score in zip(plan.recal_set, plan.recal_scores):
+        assert ledger.current[a] == score
         assert ledger.t_history[a] == sim.step
 
 

@@ -284,14 +284,39 @@ def test_select_probe_fires_once_per_interval(monkeypatch):
     assert len(calls) == len(report.intervals)
 
 
-def test_every_e2ebench_span_target_resolves(monkeypatch):
+def _e2ebench_spans(monkeypatch):
     spec = importlib.util.spec_from_file_location("e2ebench_spans", E2EBENCH / "spans.py")
     spans = importlib.util.module_from_spec(spec)
     monkeypatch.setitem(sys.modules, spec.name, spans)  # dataclasses look the module up
     spec.loader.exec_module(spans)
+    return spans
+
+
+def test_every_e2ebench_span_target_resolves(monkeypatch):
+    spans = _e2ebench_spans(monkeypatch)
     assert spans.TARGETS
     missing = [t.where for t in spans.TARGETS if spans._resolve(t.where) is None]
     assert missing == []
+
+
+def test_e2ebench_dynamics_counts_equal_the_runs_own_plans(monkeypatch):
+    spans = _e2ebench_spans(monkeypatch)
+    with spans.Tracer("counts") as tracer:
+        report = run("adaptive", _cfg(delta=0.0, delta_h=0.0, seed=5), _sim(seed=5), 75, 15)
+    values, left_out = spans.layer_metrics(tracer)
+    assert left_out == []
+    plans = report.plans
+    repaired = [p for p in plans if p.graph_repaired]
+    expected = {
+        "dynamics.recal.size": sum(len(p.recal_set) for p in plans),
+        "dynamics.anchor_qualified": sum(len(p.anchor_sets) for p in plans if p.anchor_sets),
+        "dynamics.propagated_scores": sum(len(p.propagated_scores) for p in plans),
+        "dynamics.propagated_embeddings": sum(len(p.propagated_embeddings) for p in plans),
+        "knn_graph.repair.changed": sum(len(p.recal_set) + len(p.propagated_embeddings)
+                                        for p in repaired),
+    }
+    assert repaired and min(expected.values()) > 0
+    assert {name: values[name] for name in expected} == expected
 
 
 def test_every_name_e2ebench_gates_import_from_coresel_exists():

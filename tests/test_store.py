@@ -240,6 +240,30 @@ def test_score_at():
         ledger.score_at(0, 3)
 
 
+@pytest.mark.parametrize("sample_id", [-1, 3])
+@pytest.mark.parametrize("method, args", [
+    pytest.param("mark_accurate", (5,), id="mark_accurate"),
+    pytest.param("score_at", (0,), id="score_at"),
+    pytest.param("history", (), id="history"),
+    pytest.param("steps_for", (), id="steps_for"),
+])
+def test_ledger_per_sample_methods_reject_ids_outside_range(method, args, sample_id):
+    # -1 used to stand for the last sample (mark_accurate set its t_history); n raised IndexError
+    ledger = ScoreLedger.from_scores([1.0, 2.0, 3.0], step=0)
+    with pytest.raises(DomainError, match=f"sample id {sample_id} out of range"):
+        getattr(ledger, method)(sample_id, *args)
+    assert ledger.t_history.tolist() == [0, 0, 0]
+
+
+def test_mark_accurate_takes_many_ids_all_or_none():
+    ledger = ScoreLedger.from_scores([1.0, 2.0, 3.0], step=0)
+    ledger.mark_accurate(np.array([2, 0]), 4)
+    assert ledger.t_history.tolist() == [4, 0, 4]
+    with pytest.raises(DomainError, match="t_history for sample 0 may only increase"):
+        ledger.mark_accurate([0, 1], 3)
+    assert ledger.t_history.tolist() == [4, 0, 4]
+
+
 # ---------------------------------------------------------------------------
 # min-max normalization
 # ---------------------------------------------------------------------------
