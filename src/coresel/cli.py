@@ -15,6 +15,7 @@ import errno
 import io
 import json
 import os
+import stat
 import sys
 import tempfile
 
@@ -39,13 +40,24 @@ from .store import (
 )
 
 
+def _file_mode(path: str) -> int:
+    """The mode of the file at ``path``, or 0o666 less the umask if there is none."""
+    try:
+        return stat.S_IMODE(os.stat(path).st_mode)
+    except FileNotFoundError:
+        umask = os.umask(0)  # the umask can only be read by setting it
+        os.umask(umask)
+        return 0o666 & ~umask
+
+
 def _write_all(files: dict[str, str | bytes]) -> None:
     """Write every file or none: after a failure each path holds what it held before.
 
-    Each payload goes to a temp file beside its path. Then, path by path, an
-    existing file is renamed aside and the temp file renamed into place. A
-    failure anywhere undoes the renames done so far, latest first, and removes
-    the temp files before re-raising. A path that is a directory raises
+    Each payload goes to a temp file beside its path, with the mode a plain
+    ``open`` would leave (see ``_file_mode``). Then, path by path, an existing
+    file is renamed aside and the temp file renamed into place. A failure
+    anywhere undoes the renames done so far, latest first, and removes the
+    temp files before re-raising. A path that is a directory raises
     IsADirectoryError before anything is written, and every OSError names the
     path asked for, not a temp file.
     """
@@ -62,6 +74,7 @@ def _write_all(files: dict[str, str | bytes]) -> None:
                                        prefix=".tmp-", suffix=".part")
             temps.append(tmp)
             with os.fdopen(fd, "wb") as fh:
+                os.fchmod(fh.fileno(), _file_mode(path))  # mkstemp makes every file 0o600
                 fh.write(payload)
         for path, tmp in zip(files, temps):
             if os.path.isfile(path) or os.path.islink(path):

@@ -157,13 +157,13 @@ def select_recal_set(g: MutualKnnGraph, ledger: ScoreLedger, current_step: int,
     return tuple(sorted(chosen))
 
 
-def affinity(g: MutualKnnGraph, ledger: ScoreLedger, i, j):
-    """Edge weight discounted by score disagreement: w_ij * exp(-0.1|I_i - I_j|).
+def affinity(w, ledger: ScoreLedger, i, j):
+    """Edge weight ``w`` of (i, j) discounted by score disagreement: w * exp(-0.1|I_i - I_j|).
 
-    ``i`` and ``j`` may be equal-shape id arrays; DomainError on a non-edge.
+    ``w``, ``i`` and ``j`` may be equal-shape arrays.
     """
     gap = np.abs(ledger.current[i] - ledger.current[j])
-    return g.weight(i, j) * np.exp(-AFFINITY_SCORE_SCALE * gap)
+    return w * np.exp(-AFFINITY_SCORE_SCALE * gap)
 
 
 def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
@@ -174,17 +174,17 @@ def qualifying_anchor_sets(g: MutualKnnGraph, ledger: ScoreLedger, anchors,
     is_anchor[anchor_ids] = True
     slots = g.mutual[anchor_ids]  # mutual slots hold no -1 padding: nodes index is_anchor
     nodes, owners = g.knn_ids[anchor_ids][slots], np.repeat(anchor_ids, slots.sum(axis=1))
-    keep = ~is_anchor[nodes] & (affinity(g, ledger, nodes, owners) > beta_aff)
+    w = g.weights[anchor_ids][slots]  # a mutual edge has one weight at both ends, bit for bit
+    keep = ~is_anchor[nodes] & (affinity(w, ledger, nodes, owners) > beta_aff)
     order = np.lexsort((owners[keep], nodes[keep]))  # no pair twice: mutual slots are distinct
-    nodes, owners = nodes[keep][order], owners[keep][order]
+    nodes, owners, w = nodes[keep][order], owners[keep][order], w[keep][order]
     first = np.diff(nodes, prepend=-1) != 0
-    node_idx, w = np.cumsum(first) - 1, g.weight(nodes, owners)
+    node_idx = np.cumsum(first) - 1
     return AnchorSets(anchor_ids, nodes[first], node_idx, np.searchsorted(anchor_ids, owners), w,
                       np.bincount(node_idx, weights=w))
 
 
-def propagate_scores(g: MutualKnnGraph, ledger: ScoreLedger, recal_new,
-                     anchor_sets: AnchorSets) -> np.ndarray:
+def propagate_scores(ledger: ScoreLedger, recal_new, anchor_sets: AnchorSets) -> np.ndarray:
     """Closed-form propagation of recomputed scores to qualified neighbors.
 
     ``recal_new`` holds the anchors' recomputed scores in ``anchor_sets.anchors``
@@ -214,7 +214,7 @@ def embedding_shift(old_rows, new_rows) -> float:
     return total / len(old)
 
 
-def propagate_embeddings(g: MutualKnnGraph, emb: EmbeddingTable, recal_new_rows,
+def propagate_embeddings(emb: EmbeddingTable, recal_new_rows,
                          anchor_sets: AnchorSets) -> np.ndarray:
     """Blend qualified neighbors halfway toward the weighted anchor average.
 
@@ -286,7 +286,7 @@ def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: Embe
 
         new_rows, new_scores = extract_checked(provider, list(recal), emb.d)
         sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
-        scores = propagate_scores(g, ledger, new_scores, sets)
+        scores = propagate_scores(ledger, new_scores, sets)
         ids = np.concatenate((sets.anchors, sets.nodes))  # the order of scores and rows
         plan.anchor_sets, plan.recal_scores = sets, new_scores
         plan.propagated_scores, plan.old_scores = scores[len(recal):], ledger.current[sets.nodes]
@@ -295,7 +295,7 @@ def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: Embe
         rows = None
         if plan.delta_H > cfg.delta_h:
             require_directed_lists(g)
-            rows = propagate_embeddings(g, emb, new_rows, sets)
+            rows = propagate_embeddings(emb, new_rows, sets)
             plan.propagated_embeddings = tuple(sets.nodes.tolist())
 
         # Apply: scores first (anchors advance t_history, propagated nodes do not).
@@ -323,8 +323,9 @@ def extract_checked(provider, ids, d: int | None = None) -> tuple[np.ndarray, np
     """``provider.extract_features(ids)``, checked before any of it is used.
 
     Raises DataError unless the rows are a finite (len(ids), d) array and the
-    scores a finite, non-negative (len(ids),) array. With ``d`` None (the
-    first extract, before any width is known) d is the rows' own width.
+    scores a finite, non-negative (len(ids),) array, naming the first bad
+    (row, col) or score index. With ``d`` None (the first extract, before any
+    width is known) d is the rows' own width.
     """
     rows, scores = provider.extract_features(ids)
     rows = np.asarray(rows, dtype=np.float64)
@@ -332,12 +333,19 @@ def extract_checked(provider, ids, d: int | None = None) -> tuple[np.ndarray, np
     m = len(ids)
     if d is None and rows.ndim == 2:
         d = rows.shape[1]
-    if rows.shape != (m, d) or not np.isfinite(rows).all():
+    if rows.shape != (m, d):
         raise DataError(f"provider rows must be finite with shape ({m}, {'d' if d is None else d}), "
                         f"got shape {rows.shape}")
-    if scores.shape != (m,) or not (np.isfinite(scores) & (scores >= 0.0)).all():
+    if not np.isfinite(rows).all():
+        r, c = np.argwhere(~np.isfinite(rows))[0].tolist()
+        raise DataError(f"provider rows must be finite, got {rows[r, c]} at row {r}, col {c}")
+    if scores.shape != (m,):
         raise DataError(f"provider scores must be finite and >= 0 with shape ({m},), "
                         f"got shape {scores.shape}")
+    bad = np.flatnonzero(~(np.isfinite(scores) & (scores >= 0.0)))
+    if bad.size:
+        raise DataError(f"provider scores must be finite and >= 0, got {scores[bad[0]]} "
+                        f"at index {bad[0]}")
     return rows, scores
 
 

@@ -29,6 +29,8 @@ def make_dataset(n: int, d: int, c: int, cluster_spread: float, seed: int):
         raise DomainError(f"need n >= c, got n={n}, c={c}")
     if d < 2:
         raise DomainError(f"need d >= 2, got {d}")
+    if not (np.isfinite(cluster_spread) and cluster_spread >= 0.0):
+        raise DomainError(f"cluster_spread must be finite and >= 0, got {cluster_spread}")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(c, d)) * MEAN_SEPARATION
     labels = np.arange(n, dtype=np.int64) % c
@@ -60,8 +62,10 @@ class SimState:
                learning_rate: float = 0.1, seed: int = 0,
                drift: float | np.ndarray | None = None,
                freeze_at: int | None = None) -> "SimState":
-        if learning_rate < 0.0:
-            raise DomainError(f"learning_rate must be >= 0, got {learning_rate}")
+        if not (np.isfinite(learning_rate) and learning_rate >= 0.0):
+            raise DomainError(f"learning_rate must be finite and >= 0, got {learning_rate}")
+        if drift is not None and not np.isfinite(drift).all():
+            raise DomainError(f"drift must be finite, got {drift!r}")
         data, labels = make_dataset(n, dim, classes, cluster_spread, seed)
         dirs = np.random.default_rng(seed + 1).normal(size=(classes, dim))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)

@@ -123,7 +123,7 @@ def test_criterion_03_propagation_closed_form():
                                       {(0, j + 1): float(weights[j]) for j in range(deg)})
         ledger = ScoreLedger.from_scores(np.concatenate([[old], news]), step=0)
         sets = qualifying_anchor_sets(g, ledger, range(1, deg + 1), beta_aff=0.0)
-        out = by_id(sets, propagate_scores(g, ledger, news, sets))
+        out = by_id(sets, propagate_scores(ledger, news, sets))
         alphas = weights / weights.sum()
         x_star = numeric_minimize(
             lambda x: 0.5 * (x - old) ** 2 + 0.5 * float(np.sum(alphas * (x - news) ** 2)),
@@ -174,7 +174,7 @@ def test_criterion_05_error_contraction_on_lipschitz_instances():
         anchors = sorted(int(i) for i in rng.choice(n, size=12, replace=False))
         sets = qualifying_anchor_sets(g, ledger, anchors, beta_aff=0.0)
         qualified = anchor_dict(sets)
-        out = by_id(sets, propagate_scores(g, ledger, true_scores[sets.anchors], sets))
+        out = by_id(sets, propagate_scores(ledger, true_scores[sets.anchors], sets))
         for i, new in out.items():
             if i in anchors:
                 continue

@@ -1,9 +1,12 @@
 """Command-line behavior: formats, exit codes, determinism, atomicity."""
 
 import json
+import math
 import os
+import stat
 import struct
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -229,6 +232,32 @@ def test_simulate_rejects_negative_steps(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "--steps" in err
     assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("via", ["simulate", "run"])
+@pytest.mark.parametrize("key, value", [
+    ("learning_rate", math.inf), ("learning_rate", math.nan), ("cluster_spread", math.nan),
+    ("cluster_spread", math.inf), ("cluster_spread", -1.0), ("drift_rate", math.nan),
+    ("drift_rate", -math.inf),
+])
+def test_bad_simulator_parameter_is_usage_error(tmp_path, capsys, via, key, value):
+    # rejected before any data is drawn: no numpy warning, no file, one line naming it
+    out_dir = tmp_path / "out"
+    if via == "simulate":
+        argv = ["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "2",
+                f"--{key.replace('_', '-')}={value}", "--out-embeddings", str(out_dir / "emb.bin"),
+                "--out-scores", str(out_dir / "scores.jsonl")]
+        out_dir.mkdir()
+    else:
+        argv = ["run", "--config", run_config(tmp_path, simulator={key: value}),
+                "--out-dir", str(out_dir)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv) == 2
+    err = capsys.readouterr().err
+    name = "drift" if key == "drift_rate" else key  # SimState.create's name for it
+    assert err.count("\n") == 1 and f"error: {name} must be finite" in err
+    assert not out_dir.exists() or list(out_dir.iterdir()) == []
 
 
 def test_write_into_missing_directory_names_the_given_path(tmp_path, capsys):
@@ -600,6 +629,37 @@ def test_run_failing_provider_leaves_no_output_files(tmp_path, monkeypatch, caps
     assert "error:" in capsys.readouterr().err
     for name in ("report.json", "events.jsonl", "selections.jsonl"):
         assert not (out_dir / name).exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+@pytest.mark.parametrize("command", ["simulate", "build-graph", "run"])
+def test_output_files_get_the_mode_open_would_give(tmp_path, emb_file, command, umask):
+    # a new file gets 0o666 less the umask, and a replaced file keeps its own mode
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {
+        "simulate": ["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "2",
+                     "--out-embeddings", str(out_dir / "emb.bin"),
+                     "--out-scores", str(out_dir / "scores.jsonl")],
+        "build-graph": ["build-graph", "--embeddings", emb_file, "--k", "5",
+                        "--out", str(out_dir / "graph.jsonl")],
+        "run": ["run", "--config", run_config(tmp_path, run={"total_steps": 20}),
+                "--out-dir", str(out_dir)],
+    }[command]
+
+    def modes():
+        return {p.name: stat.S_IMODE(p.stat().st_mode) for p in out_dir.iterdir()}
+
+    saved = os.umask(umask)
+    try:
+        assert main(argv) == 0
+        assert modes() and set(modes().values()) == {0o666 & ~umask}
+        for p in out_dir.iterdir():
+            p.chmod(0o640)
+        assert main(argv) == 0
+    finally:
+        os.umask(saved)
+    assert set(modes().values()) == {0o640}
 
 
 def _contents(directory):

@@ -273,28 +273,18 @@ def test_recal_set_is_independent(rng):
 # ---------------------------------------------------------------------------
 
 def test_affinity_equal_scores_is_weight():
-    g = graph_from_edges(2, {(0, 1): 0.37})
     ledger = ledger_with([2.0, 2.0])
-    assert affinity(g, ledger, 0, 1) == pytest.approx(0.37, abs=1e-12)
+    assert affinity(0.37, ledger, 0, 1) == pytest.approx(0.37, abs=1e-12)
 
 
 def test_affinity_unit_weight_gap_ten():
-    g = graph_from_edges(2, {(0, 1): 1.0})
     ledger = ledger_with([10.0, 0.0])
-    assert affinity(g, ledger, 0, 1) == pytest.approx(math.exp(-1.0), abs=1e-12)
+    assert affinity(1.0, ledger, 0, 1) == pytest.approx(math.exp(-1.0), abs=1e-12)
 
 
 def test_affinity_strictly_below_weight_with_gap():
-    g = graph_from_edges(2, {(0, 1): 0.8})
     ledger = ledger_with([1.0, 0.5])
-    assert affinity(g, ledger, 0, 1) < 0.8
-
-
-def test_affinity_non_edge_is_error():
-    g = graph_from_edges(3, {(0, 1): 0.8})
-    ledger = ledger_with([1.0, 1.0, 1.0])
-    with pytest.raises(DomainError):
-        affinity(g, ledger, 0, 2)
+    assert affinity(0.8, ledger, 0, 1) < 0.8
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +294,7 @@ def test_affinity_non_edge_is_error():
 def _propagate_scores(g, ledger, recal_new, beta_aff):
     """propagate_scores of {anchor: score} over the sets that qualify at ``beta_aff``, by id."""
     sets = qualifying_anchor_sets(g, ledger, recal_new, beta_aff)
-    return by_id(sets, propagate_scores(g, ledger, [recal_new[a] for a in sets.anchors], sets))
+    return by_id(sets, propagate_scores(ledger, [recal_new[a] for a in sets.anchors], sets))
 
 
 def test_propagation_skips_unqualified_nodes():
@@ -393,7 +383,7 @@ def test_propagation_rejects_misshaped_or_nonfinite_anchor_scores():
     sets = qualifying_anchor_sets(g, ledger, [1], 0.0)
     for scores in ([1.0, 0.5], [[1.0]], [math.nan], [math.inf], [-1.0]):
         with pytest.raises(DomainError, match=r"must be finite and >= 0 with shape \(1,\)"):
-            propagate_scores(g, ledger, scores, sets)
+            propagate_scores(ledger, scores, sets)
 
 
 @pytest.mark.parametrize("rows", [
@@ -410,7 +400,7 @@ def test_embedding_propagation_rejects_bad_anchor_rows(rows):
     sets = qualifying_anchor_sets(g, ledger, [1], 0.0)
     assert len(sets) == 1  # node 0 qualifies, so a bad row would reach it
     with pytest.raises(DomainError, match=r"anchor rows must be finite with shape \(1, 2\)"):
-        propagate_embeddings(g, EmbeddingTable(np.eye(2)), rows, sets)
+        propagate_embeddings(EmbeddingTable(np.eye(2)), rows, sets)
 
 
 # ---------------------------------------------------------------------------
@@ -446,7 +436,7 @@ def test_shift_key_mismatch():
 def _propagate_embeddings(g, ledger, emb, new_rows, beta_aff):
     """propagate_embeddings of {anchor: row} over the sets that qualify at ``beta_aff``, by id."""
     sets = qualifying_anchor_sets(g, ledger, new_rows, beta_aff)
-    return by_id(sets, propagate_embeddings(g, emb, [new_rows[a] for a in sets.anchors], sets))
+    return by_id(sets, propagate_embeddings(emb, [new_rows[a] for a in sets.anchors], sets))
 
 
 def test_embedding_propagation_absent_without_qualifiers():

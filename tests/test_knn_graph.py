@@ -63,6 +63,12 @@ def test_edge_weight_inverted_from_target():
     assert edge_weight(a, b) == pytest.approx(0.1, abs=1e-6)
 
 
+def test_weight_non_edge_is_error():
+    g = MutualKnnGraph.from_edges(3, 1, {(0, 1): 0.8})
+    with pytest.raises(DomainError):
+        g.weight(0, 2)
+
+
 # ---------------------------------------------------------------------------
 # pairwise_sq_dists / rows_sq_dists
 # ---------------------------------------------------------------------------

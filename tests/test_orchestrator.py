@@ -10,9 +10,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coresel import dynamics, orchestrator
 from coresel.errors import ConfigError, DataError
+from coresel.knn_graph import build_graph
 from coresel.orchestrator import loss_rows, run
 from coresel.simulator import SimState
 from coresel.store import SelectionConfig
@@ -253,6 +256,27 @@ def test_step_extract_short_scores_is_data_error():
     assert "scores" in _run_with_fault(2, lambda rows, scores: (rows, scores[:-1]))
 
 
+@pytest.mark.parametrize("call", [1, 2])
+def test_extract_names_the_first_bad_value(call):
+    def bad_row(rows, scores):
+        rows[3, 1] = rows[5, 0] = np.nan
+        return rows, scores
+
+    def bad_score(rows, scores):
+        scores[4], scores[6] = np.inf, -1.0
+        return rows, scores
+
+    def short_rows(rows, scores):
+        return rows[:-1], scores
+
+    m = 300 if call == 1 else 24  # the full extract, or one train step's members
+    assert _run_with_fault(call, bad_row) == "provider rows must be finite, got nan at row 3, col 1"
+    assert _run_with_fault(call, bad_score) == ("provider scores must be finite and >= 0, "
+                                                "got inf at index 4")
+    assert _run_with_fault(call, short_rows) == (f"provider rows must be finite with shape "
+                                                 f"({m}, 4), got shape ({m - 1}, 4)")
+
+
 def test_step_extract_nan_rows_of_wrong_width_are_data_error():
     # The step keeps only the scores, but its rows are checked all the same.
     def nan_wide_rows(rows, scores):
@@ -357,3 +381,30 @@ def test_graph_is_built_at_the_first_triggered_check(monkeypatch, seed, builds):
     assert any(p.triggered for p in report.plans) == bool(builds)
     assert len(calls) == builds
 
+
+
+# ---------------------------------------------------------------------------
+# run-level oracle: without an LSH index, repair is a full rebuild
+# ---------------------------------------------------------------------------
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(40, 300), k=st.integers(2, 8))
+def test_run_repairing_without_index_equals_run_rebuilding(seed, n, k):
+    # Covers what a one-call repair check does not: the graph carried from check to
+    # check, the build deferred to the first trigger, and the undo log around repair.
+    cfg = _cfg(budget_b=8, n_s=32, t_c=5, k=k, k_recal=6, n_s_check=6, delta=0.0, delta_h=0.0,
+               seed=seed)
+
+    def outputs():
+        report = run("adaptive", cfg, _sim(seed=seed, n=n), total_steps=40, warmup_steps=10)
+        texts = [json.dumps(doc) for doc in (report.to_dict(), report.update_events(),
+                                             report.selection_events())]
+        return texts, sum(p.graph_repaired for p in report.plans)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(orchestrator, "build_lsh_index", lambda emb, seed: None)
+        repaired, repairs = outputs()
+        mp.setattr(dynamics, "repair_graph", lambda g, idx, emb, changed: build_graph(emb, g.k))
+        rebuilt, _ = outputs()
+    assert repairs >= 1
+    assert repaired == rebuilt

@@ -42,6 +42,16 @@ def test_dataset_validation():
         make_dataset(10, 1, 2, 1.0, 0)  # d < 2
 
 
+@pytest.mark.parametrize("kwargs, name", [
+    ({"learning_rate": math.inf}, "learning_rate"), ({"learning_rate": math.nan}, "learning_rate"),
+    ({"cluster_spread": -0.5}, "cluster_spread"), ({"cluster_spread": math.nan}, "cluster_spread"),
+    ({"drift": math.inf}, "drift"), ({"drift": np.array([0.01, math.nan])}, "drift"),
+])
+def test_create_rejects_nonfinite_or_negative_parameter(kwargs, name):
+    with pytest.raises(DomainError, match=f"^{name} must be finite"):
+        SimState.create(n=10, dim=4, classes=2, **kwargs)
+
+
 def test_dataset_is_linearly_separable_enough():
     sim = SimState.create(n=500, dim=8, classes=5, cluster_spread=1.0,
                           learning_rate=0.1, seed=0)
