@@ -17,7 +17,6 @@ import json
 import os
 import stat
 import sys
-import tempfile
 
 import numpy as np
 
@@ -40,21 +39,13 @@ from .store import (
 )
 
 
-def _file_mode(path: str) -> int:
-    """The mode of the file at ``path``, or 0o666 less the umask if there is none."""
-    try:
-        return stat.S_IMODE(os.stat(path).st_mode)
-    except FileNotFoundError:
-        umask = os.umask(0)  # the umask can only be read by setting it
-        os.umask(umask)
-        return 0o666 & ~umask
-
-
 def _write_all(files: dict[str, str | bytes]) -> None:
     """Write every file or none: after a failure each path holds what it held before.
 
     Each payload goes to a temp file beside its path, with the mode a plain
-    ``open`` would leave (see ``_file_mode``). Then, path by path, an existing
+    ``open`` would leave: a new path's is 0o666 under the umask, and a
+    replaced file's is its old mode, set on a temp made 0o600, so the temp is
+    never wider than its final mode. Then, path by path, an existing
     file is renamed aside and the temp file renamed into place. A failure
     anywhere undoes the renames done so far, latest first, and removes the
     temp files before re-raising. A path that is a directory raises
@@ -70,11 +61,18 @@ def _write_all(files: dict[str, str | bytes]) -> None:
         for path, payload in files.items():
             if isinstance(payload, str):
                 payload = payload.encode("utf-8")
-            fd, tmp = tempfile.mkstemp(dir=os.path.dirname(os.path.abspath(path)),
-                                       prefix=".tmp-", suffix=".part")
-            temps.append(tmp)
+            try:
+                mode = stat.S_IMODE(os.stat(path).st_mode)
+            except FileNotFoundError:
+                mode = None
+            tmp = os.path.join(os.path.dirname(os.path.abspath(path)),
+                               f".tmp-{os.urandom(8).hex()}.part")
+            fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL,
+                         0o666 if mode is None else 0o600)
+            temps.append(tmp)  # only now: a name clash must not unlink another's file
             with os.fdopen(fd, "wb") as fh:
-                os.fchmod(fh.fileno(), _file_mode(path))  # mkstemp makes every file 0o600
+                if mode is not None:
+                    os.fchmod(fd, mode)
                 fh.write(payload)
         for path, tmp in zip(files, temps):
             if os.path.isfile(path) or os.path.islink(path):

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError, DomainError
-from .knn_graph import MutualKnnGraph, LshIndex, repair_graph, require_directed_lists
+from .knn_graph import MutualKnnGraph, LshIndex, repair_graph
 from .store import EmbeddingTable, ScoreLedger, id_set
 
 AFFINITY_SCORE_SCALE = 0.1  # exp(-0.1 * |score gap|) factor of the affinity
@@ -294,7 +294,6 @@ def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: Embe
 
         rows = None
         if plan.delta_H > cfg.delta_h:
-            require_directed_lists(g)
             rows = propagate_embeddings(emb, new_rows, sets)
             plan.propagated_embeddings = tuple(sets.nodes.tolist())
 

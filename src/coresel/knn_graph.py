@@ -357,12 +357,6 @@ def build_lsh_index(emb: EmbeddingTable, num_tables: int = DEFAULT_LSH_TABLES,
     return LshIndex(np.random.default_rng(seed).standard_normal((num_tables, planes, emb.d)))
 
 
-def require_directed_lists(g: MutualKnnGraph) -> None:
-    """DomainError unless ``g`` has the directed lists that ``repair_graph`` needs."""
-    if g.knn_d2 is None:
-        raise DomainError("graph is missing directed k-NN lists; rebuild it from embeddings")
-
-
 def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
                  changed) -> MutualKnnGraph:
     """Recompute neighborhoods around moved nodes and re-enforce mutuality.
@@ -377,8 +371,9 @@ def repair_graph(g: MutualKnnGraph, idx: LshIndex | None, emb: EmbeddingTable,
     changed_ids = id_set(changed, g.n, "changed id")
     if not changed_ids.size:
         return g
+    if g.knn_d2 is None:
+        raise DomainError("graph is missing directed k-NN lists; rebuild it from embeddings")
     n, k = g.n, g.k
-    require_directed_lists(g)
     moved = np.zeros(n, dtype=bool)
     moved[changed_ids] = True
 

@@ -9,6 +9,7 @@ genuine training dynamics rather than mocks.
 
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -19,6 +20,22 @@ from .scoring import el2n_from_probs
 from .store import id_set
 
 MEAN_SEPARATION = 3.0
+
+
+@contextmanager
+def _finite_arithmetic(step: int):
+    """numpy overflow or an invalid value inside the block raises DomainError, not a warning.
+
+    Huge but finite parameters overflow here rather than as infinities found
+    downstream. A matmul may yield inf without setting the flags, so callers
+    that need finite output still check it.
+    """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            yield
+    except FloatingPointError as exc:
+        raise DomainError(f"simulator arithmetic failed at step {step} ({exc}); lower "
+                          "cluster_spread, learning_rate or the drift rate") from exc
 
 
 def make_dataset(n: int, d: int, c: int, cluster_spread: float, seed: int):
@@ -34,7 +51,8 @@ def make_dataset(n: int, d: int, c: int, cluster_spread: float, seed: int):
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(c, d)) * MEAN_SEPARATION
     labels = np.arange(n, dtype=np.int64) % c
-    data = means[labels] + cluster_spread * rng.normal(size=(n, d))
+    with _finite_arithmetic(0):
+        data = means[labels] + cluster_spread * rng.normal(size=(n, d))
     return data, labels
 
 
@@ -56,6 +74,10 @@ class SimState:
     drift: float | np.ndarray | None = None   # per-step covariate shift magnitude
     freeze_at: int | None = None              # stop weight updates from this step on
     drift_dirs: np.ndarray = field(default=None, repr=False)
+
+    def __post_init__(self):
+        if self.drift is not None and self.drift_dirs is None:
+            raise DomainError("a drifting SimState needs drift_dirs (SimState.create makes them)")
 
     @classmethod
     def create(cls, n: int, dim: int, classes: int, cluster_spread: float = 1.0,
@@ -110,17 +132,18 @@ class SimState:
         if ids.size == 0:
             raise DomainError("batch must be nonempty")
         m = self._drift_magnitude()
-        if m != 0.0:
-            self.data += m * self.drift_field
-        x = self.data[ids]
-        y = self.labels[ids]
-        probs = softmax(x @ self.weights.T)
-        loss = float(-np.mean(np.log(np.maximum(probs[np.arange(ids.size), y], 1e-300))))
-        if self.freeze_at is None or self.step < self.freeze_at:
-            grad_logits = probs
-            grad_logits[np.arange(ids.size), y] -= 1.0
-            grad = grad_logits.T @ x / ids.size
-            self.weights -= self.learning_rate * grad
+        with _finite_arithmetic(self.step):
+            if m != 0.0:
+                self.data += m * self.drift_field
+            x = self.data[ids]
+            y = self.labels[ids]
+            probs = softmax(x @ self.weights.T)
+            loss = float(-np.mean(np.log(np.maximum(probs[np.arange(ids.size), y], 1e-300))))
+            if self.freeze_at is None or self.step < self.freeze_at:
+                grad_logits = probs
+                grad_logits[np.arange(ids.size), y] -= 1.0
+                grad = grad_logits.T @ x / ids.size
+                self.weights -= self.learning_rate * grad
         self.step += 1
         return loss
 
@@ -128,17 +151,20 @@ class SimState:
         """Logit-vector embeddings and EL2N scores for the given samples."""
         ids = np.asarray(ids, dtype=np.int64)
         id_set(ids, self.n, "sample id")  # the range check; rows keep the given order
-        logits = self.data[ids] @ self.weights.T
-        probs = softmax(logits)
-        scores = el2n_from_probs(probs, self.labels[ids])
+        with _finite_arithmetic(self.step):
+            logits = self.data[ids] @ self.weights.T
+            probs = softmax(logits)
+            scores = el2n_from_probs(probs, self.labels[ids])
         return logits, scores
 
     def full_loss(self) -> float:
-        probs = softmax(self.data @ self.weights.T)
+        with _finite_arithmetic(self.step):
+            probs = softmax(self.data @ self.weights.T)
         picked = probs[np.arange(self.n), self.labels]
         return float(-np.mean(np.log(np.maximum(picked, 1e-300))))
 
     def accuracy(self) -> float:
-        pred = (self.data @ self.weights.T).argmax(axis=1)
+        with _finite_arithmetic(self.step):
+            pred = (self.data @ self.weights.T).argmax(axis=1)
         return float(np.mean(pred == self.labels))
 

@@ -242,9 +242,27 @@ def test_simulate_rejects_negative_steps(tmp_path, capsys):
 ])
 def test_bad_simulator_parameter_is_usage_error(tmp_path, capsys, via, key, value):
     # rejected before any data is drawn: no numpy warning, no file, one line naming it
+    err = _simulator_usage_error(tmp_path, capsys, via, key, value, steps=2)
+    name = "drift" if key == "drift_rate" else key  # SimState.create's name for it
+    assert f"error: {name} must be finite" in err
+
+
+@pytest.mark.parametrize("via", ["simulate", "run"])
+@pytest.mark.parametrize("key", ["drift_rate", "learning_rate", "cluster_spread"])
+def test_huge_simulator_parameter_is_usage_error(tmp_path, capsys, via, key):
+    # finite, but the training arithmetic overflows: numpy raises instead of warning, and
+    # the one line names the step and the parameters to lower
+    err = _simulator_usage_error(tmp_path, capsys, via, key, 1e308, steps=5)
+    assert "error: simulator arithmetic failed at step " in err
+    assert "lower cluster_spread, learning_rate or the drift rate" in err
+
+
+def _simulator_usage_error(tmp_path, capsys, via, key, value, steps):
+    """Exit 2 from ``simulate`` or ``run`` with one simulator parameter set, with no
+    warning and no file; returns the one line of stderr."""
     out_dir = tmp_path / "out"
     if via == "simulate":
-        argv = ["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "2",
+        argv = ["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", str(steps),
                 f"--{key.replace('_', '-')}={value}", "--out-embeddings", str(out_dir / "emb.bin"),
                 "--out-scores", str(out_dir / "scores.jsonl")]
         out_dir.mkdir()
@@ -255,9 +273,9 @@ def test_bad_simulator_parameter_is_usage_error(tmp_path, capsys, via, key, valu
         warnings.simplefilter("error")
         assert main(argv) == 2
     err = capsys.readouterr().err
-    name = "drift" if key == "drift_rate" else key  # SimState.create's name for it
-    assert err.count("\n") == 1 and f"error: {name} must be finite" in err
+    assert err.count("\n") == 1
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
+    return err
 
 
 def test_write_into_missing_directory_names_the_given_path(tmp_path, capsys):
@@ -633,8 +651,10 @@ def test_run_failing_provider_leaves_no_output_files(tmp_path, monkeypatch, caps
 
 @pytest.mark.parametrize("umask", [0o022, 0o077])
 @pytest.mark.parametrize("command", ["simulate", "build-graph", "run"])
-def test_output_files_get_the_mode_open_would_give(tmp_path, emb_file, command, umask):
-    # a new file gets 0o666 less the umask, and a replaced file keeps its own mode
+def test_output_files_get_the_mode_open_would_give(tmp_path, emb_file, monkeypatch, command,
+                                                   umask):
+    # a new file gets 0o666 less the umask, and a replaced file keeps its own mode; the
+    # umask is process-wide, so the CLI leaves it to the kernel and never reads or sets it
     out_dir = tmp_path / "out"
     out_dir.mkdir()
     argv = {
@@ -650,7 +670,12 @@ def test_output_files_get_the_mode_open_would_give(tmp_path, emb_file, command, 
     def modes():
         return {p.name: stat.S_IMODE(p.stat().st_mode) for p in out_dir.iterdir()}
 
-    saved = os.umask(umask)
+    def untouchable(mask):
+        raise AssertionError("the CLI called os.umask")
+
+    real_umask = os.umask
+    saved = real_umask(umask)
+    monkeypatch.setattr(os, "umask", untouchable)
     try:
         assert main(argv) == 0
         assert modes() and set(modes().values()) == {0o666 & ~umask}
@@ -658,7 +683,7 @@ def test_output_files_get_the_mode_open_would_give(tmp_path, emb_file, command, 
             p.chmod(0o640)
         assert main(argv) == 0
     finally:
-        os.umask(saved)
+        real_umask(saved)
     assert set(modes().values()) == {0o640}
 
 

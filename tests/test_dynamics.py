@@ -712,7 +712,7 @@ def test_check_calls_the_deferred_build_once_at_the_first_trigger():
 
 def test_check_unrepairable_graph_raises_before_any_change():
     # A reloaded dump has no directed lists, so the repair that a large
-    # embedding shift calls for is impossible; nothing may move before that shows.
+    # embedding shift calls for is impossible; the check undoes every write made before it.
     _assert_failed_check_leaves_state(lambda call, rows, scores: (rows, scores),
                                       DomainError, "directed", reload_graph=True)
 

@@ -28,11 +28,11 @@ def _cfg(**overrides):
     return SelectionConfig(**base)
 
 
-def _sim(seed=2, **overrides):
+def _sim(seed=2, sim_cls=SimState, **overrides):
     base = dict(n=300, dim=6, classes=4, cluster_spread=1.0, learning_rate=0.2,
                 drift=0.02)
     base.update(overrides)
-    return SimState.create(seed=seed, **base)
+    return sim_cls.create(seed=seed, **base)
 
 
 def test_single_interval_run():
@@ -392,11 +392,32 @@ def test_graph_is_built_at_the_first_triggered_check(monkeypatch, seed, builds):
 def test_run_repairing_without_index_equals_run_rebuilding(seed, n, k):
     # Covers what a one-call repair check does not: the graph carried from check to
     # check, the build deferred to the first trigger, and the undo log around repair.
+    _assert_repairing_equals_rebuilding(SimState, seed, n, k)
+
+
+class _GridSim(SimState):
+    """Simulator whose extracted rows lie on the half-integer grid: distances are exact,
+    often tie, and often equal a node's k-th distance; no row is zero."""
+
+    def extract_features(self, ids):
+        rows, scores = super().extract_features(ids)
+        return np.floor(rows) + 0.5, scores
+
+
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 10**6), n=st.integers(40, 300), k=st.integers(2, 8))
+def test_run_repairing_without_index_equals_run_rebuilding_on_tied_rows(seed, n, k):
+    # Ties and near-boundary pairs reach the repair's (d2, id) order and its eps screen,
+    # which plain simulator rows rarely do.
+    _assert_repairing_equals_rebuilding(_GridSim, seed, n, k)
+
+
+def _assert_repairing_equals_rebuilding(sim_cls, seed, n, k):
     cfg = _cfg(budget_b=8, n_s=32, t_c=5, k=k, k_recal=6, n_s_check=6, delta=0.0, delta_h=0.0,
                seed=seed)
 
     def outputs():
-        report = run("adaptive", cfg, _sim(seed=seed, n=n), total_steps=40, warmup_steps=10)
+        report = run("adaptive", cfg, _sim(seed, sim_cls, n=n), total_steps=40, warmup_steps=10)
         texts = [json.dumps(doc) for doc in (report.to_dict(), report.update_events(),
                                              report.selection_events())]
         return texts, sum(p.graph_repaired for p in report.plans)

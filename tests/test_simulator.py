@@ -222,3 +222,12 @@ def test_state_built_directly_drifts_as_create_builds_it():
     assert np.array_equal(made.data, direct.data)
     assert np.array_equal(made.weights, direct.weights)
     assert not np.array_equal(made.data, SimState.create(n=60, dim=5, classes=3, seed=4).data)
+
+
+def test_state_built_directly_with_drift_needs_drift_dirs():
+    # without directions the first drifting step would fail on None; construction says why
+    made = SimState.create(n=20, dim=4, classes=2, seed=1)
+    with pytest.raises(DomainError, match="drift_dirs"):
+        SimState(data=made.data, labels=made.labels, weights=made.weights, learning_rate=0.1,
+                 drift=0.03)
+    SimState(data=made.data, labels=made.labels, weights=made.weights, learning_rate=0.1)
