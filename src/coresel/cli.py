@@ -39,8 +39,8 @@ from .store import (
 )
 
 
-def _write_all(files: dict[str, str | bytes]) -> None:
-    """Write every file or none: after a failure each path holds what it held before.
+def _write_all(files: list[tuple[str, str | bytes]]) -> None:
+    """Write every (path, payload) or none: after a failure each path holds what it held before.
 
     Each payload goes to a temp file beside its path, with the mode a plain
     ``open`` would leave: a new path's is 0o666 under the umask, and a
@@ -49,16 +49,22 @@ def _write_all(files: dict[str, str | bytes]) -> None:
     file is renamed aside and the temp file renamed into place. A failure
     anywhere undoes the renames done so far, latest first, and removes the
     temp files before re-raising. A path that is a directory raises
-    IsADirectoryError before anything is written, and every OSError names the
-    path asked for, not a temp file.
+    IsADirectoryError, and two paths that resolve to one file ConfigError,
+    before anything is written; every OSError names the path asked for, not a
+    temp file.
     """
-    for path in files:
+    seen: dict[str, str] = {}
+    for path, _ in files:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        real = os.path.realpath(path)
+        if real in seen:
+            raise ConfigError(f"output paths {seen[real]} and {path} name the same file")
+        seen[real] = path
     temps: list[str] = []
     undo: list[tuple[str, str | None]] = []    # (src, dst): rename back, or remove src
     try:
-        for path, payload in files.items():
+        for path, payload in files:
             if isinstance(payload, str):
                 payload = payload.encode("utf-8")
             try:
@@ -74,7 +80,7 @@ def _write_all(files: dict[str, str | bytes]) -> None:
                 if mode is not None:
                     os.fchmod(fd, mode)
                 fh.write(payload)
-        for path, tmp in zip(files, temps):
+        for (path, _), tmp in zip(files, temps):
             if os.path.isfile(path) or os.path.islink(path):
                 os.replace(path, tmp + ".old")
                 undo.append((tmp + ".old", path))
@@ -103,7 +109,7 @@ def _emit(text: str, out_path: str | None) -> None:
     if out_path is None:
         sys.stdout.write(text)
     else:
-        _write_all({out_path: text})
+        _write_all([(out_path, text)])
 
 
 def _jsonl(records) -> str:
@@ -161,7 +167,7 @@ def cmd_build_graph(args) -> int:
     graph = build_graph(emb, args.k)
     buf = io.StringIO()
     dump_graph(graph, buf)
-    _write_all({args.out: buf.getvalue()})
+    _write_all([(args.out, buf.getvalue())])
     print(f"n={graph.n} k={graph.k} edges={graph.edge_count()}", file=sys.stderr)
     return 0
 
@@ -200,7 +206,7 @@ def cmd_simulate(args) -> int:
     ledger = ScoreLedger.from_scores(scores, step=sim.step)
     sbuf = io.StringIO()
     write_score_stream(ledger, sbuf)
-    _write_all({args.out_embeddings: buf.getvalue(), args.out_scores: sbuf.getvalue()})
+    _write_all([(args.out_embeddings, buf.getvalue()), (args.out_scores, sbuf.getvalue())])
     print(f"simulated n={sim.n} d={sim.classes} steps={sim.step} "
           f"train_acc={sim.accuracy():.3f}", file=sys.stderr)
     return 0
@@ -224,12 +230,12 @@ def cmd_run(args) -> int:
     sim = _build_sim(cfg.seed, sim_block)
     report = run(strategy, cfg, sim, total_steps, warmup_steps)
     os.makedirs(args.out_dir, exist_ok=True)
-    _write_all({
+    _write_all([
         # not strict: the report echoes the config as given, and "delta": Infinity is legal
-        os.path.join(args.out_dir, "report.json"): json.dumps(report.to_dict(), indent=2) + "\n",
-        os.path.join(args.out_dir, "events.jsonl"): _jsonl(report.update_events()),
-        os.path.join(args.out_dir, "selections.jsonl"): _jsonl(report.selection_events()),
-    })
+        (os.path.join(args.out_dir, "report.json"), json.dumps(report.to_dict(), indent=2) + "\n"),
+        (os.path.join(args.out_dir, "events.jsonl"), _jsonl(report.update_events())),
+        (os.path.join(args.out_dir, "selections.jsonl"), _jsonl(report.selection_events())),
+    ])
     timings = " ".join(f"{k}={v:.2f}s" for k, v in report.stage_seconds.items())
     print(f"strategy={strategy} final_loss={report.final_loss:.6f} {timings}",
           file=sys.stderr)

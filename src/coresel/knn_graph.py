@@ -130,14 +130,12 @@ class MutualKnnGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return tuple(sorted(self.knn_ids[i][self.mutual[i]].tolist()))
 
-    def weight(self, i, j):
-        """w_ij; ``i`` and ``j`` may be equal-shape id arrays. DomainError on a non-edge."""
-        i, j = np.asarray(i), np.asarray(j)
-        hit = self.mutual[i] & (self.knn_ids[i] == j[..., None])
-        if not hit.any(axis=-1).all():
+    def weight(self, i: int, j: int) -> float:
+        """w_ij; DomainError on a non-edge."""
+        hit = self.mutual[i] & (self.knn_ids[i] == j)
+        if not hit.any():
             raise DomainError(f"no edge between {i} and {j}")
-        w = self.weights[i, hit.argmax(axis=-1)]
-        return float(w) if w.ndim == 0 else w
+        return float(self.weights[i, hit.argmax()])
 
     def has_edge(self, i: int, j: int) -> bool:
         return bool((self.mutual[i] & (self.knn_ids[i] == j)).any())

@@ -27,7 +27,7 @@ from .dynamics import UpdatePlan, check_and_update, extract_checked
 from .errors import ConfigError, FormatError
 from .knn_graph import build_graph, build_lsh_index
 from .scoring import selection_scores
-from .selector import select_coreset
+from .selector import CoresetSelection, select_coreset
 from .store import EmbeddingTable, ScoreLedger, SelectionConfig
 
 STRATEGIES = ("adaptive", "random-static", "random-fixed-interval", "full-data")
@@ -71,15 +71,8 @@ class RunReport:
         return [plan.event() for plan in self.plans]
 
     def selection_events(self) -> list[dict]:
-        return [
-            {
-                "step": rec.start_step,
-                "members": rec.members,
-                "objective": rec.objective,
-                "gains": rec.gains,
-            }
-            for rec in self.intervals
-        ]
+        return [CoresetSelection(rec.members, rec.objective, rec.gains).to_event(rec.start_step)
+                for rec in self.intervals]
 
 
 def _numbers(value, what: str) -> list:

@@ -48,6 +48,8 @@ def make_dataset(n: int, d: int, c: int, cluster_spread: float, seed: int):
         raise DomainError(f"need d >= 2, got {d}")
     if not (np.isfinite(cluster_spread) and cluster_spread >= 0.0):
         raise DomainError(f"cluster_spread must be finite and >= 0, got {cluster_spread}")
+    if seed < 0:
+        raise DomainError(f"seed must be >= 0, got {seed}")
     rng = np.random.default_rng(seed)
     means = rng.normal(size=(c, d)) * MEAN_SEPARATION
     labels = np.arange(n, dtype=np.int64) % c

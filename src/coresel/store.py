@@ -103,7 +103,7 @@ def opened(file, mode: str):
 
 
 def ingest_embeddings(source) -> EmbeddingTable:
-    """Read an embedding file (path or binary file object) into a table."""
+    """Read an embedding file (path or binary file object), exactly as long as its header says."""
     with opened(source, "rb") as fh:
         header = fh.read(_HEADER.size)
         if len(header) != _HEADER.size:
@@ -119,9 +119,13 @@ def ingest_embeddings(source) -> EmbeddingTable:
         payload = bytearray()
         while len(payload) < size and (chunk := fh.read(min(size - len(payload), _READ_CHUNK))):
             payload += chunk
+        extra = fh.read(1)
     if len(payload) != size:
         raise FormatError(f"embedding payload truncated: header declares n={n}, d={d} "
                           f"({size} bytes), the file holds {len(payload)}")
+    if extra:
+        raise FormatError(f"embedding file runs past its payload: header declares n={n}, "
+                          f"d={d} ({size} bytes), and more bytes follow")
     return EmbeddingTable(np.frombuffer(payload, dtype="<f4").reshape(n, d))
 
 
@@ -230,22 +234,18 @@ class ScoreLedger:
         self.scores[rows] = np.column_stack((self.scores[rows, new:], vals[-w:, ~same].T))
         self.scores[ids[same], -1] = vals[0, same]
 
-    def _row(self, sample_id) -> int:
-        """``sample_id`` as a row index; DomainError outside [0, n), so -1 is no row."""
-        return int(id_set((sample_id,), self.n, "sample id")[0])
-
     def score_at(self, sample_id: int, step: int) -> float:
-        i = self._row(sample_id)
-        row = self.steps[i].tolist()
-        if step < 0 or step not in row:
+        score = dict(self.history(sample_id)).get(step)
+        if score is None:
             raise DomainError(f"sample {sample_id} has no recorded score at step {step}")
-        return float(self.scores[i, row.index(step)])
+        return score
 
     def steps_for(self, sample_id: int) -> tuple[int, ...]:
         return tuple(step for step, _ in self.history(sample_id))
 
     def history(self, sample_id: int) -> list[tuple[int, float]]:
-        i = self._row(sample_id)
+        """(step, score) of each entry, oldest first; DomainError outside [0, n), -1 included."""
+        i = int(id_set((sample_id,), self.n, "sample id")[0])
         filled = self.steps[i] >= 0
         return list(zip(self.steps[i][filled].tolist(), self.scores[i][filled].tolist()))
 
@@ -417,6 +417,8 @@ class SelectionConfig:
             bad("lambda_c", f"must be in (0, 1), got {self.lambda_c}")
         if self.n_s_check < 1:
             bad("n_s_check", f"must be a positive integer, got {self.n_s_check}")
+        if self.seed < 0:
+            bad("seed", f"must be >= 0, got {self.seed}")
 
     def validate_for_dataset(self, n: int) -> None:
         if self.n_s > n:

@@ -7,6 +7,7 @@ import stat
 import struct
 import time
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -97,6 +98,24 @@ def test_build_graph_payload_larger_than_file(tmp_path, capsys, n, d):
                  "--out", str(tmp_path / "g.jsonl")])
     assert code == 3
     assert "truncated" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["build-graph", "select"])
+def test_embedding_file_longer_than_its_header_is_format_error(tmp_path, emb_file, scores_file,
+                                                                capsys, command):
+    # 100 rows under a header that declares 50: the other 50 must not be dropped silently
+    longer = tmp_path / "longer.bin"
+    data = bytearray(Path(emb_file).read_bytes())
+    data[:struct.calcsize("<4sIQI")] = struct.pack("<4sIQI", EMBEDDING_MAGIC, 1, 50, 8)
+    longer.write_bytes(data)
+    out = tmp_path / "out.json"
+    argv = {"build-graph": ["build-graph", "--embeddings", str(longer), "--k", "5"],
+            "select": ["select", "--embeddings", str(longer), "--scores", scores_file,
+                       "--budget", "4", "--eta", "0.1"]}[command]
+    assert main([*argv, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "n=50, d=8 (1600 bytes), and more bytes follow" in err
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------
@@ -276,6 +295,40 @@ def _simulator_usage_error(tmp_path, capsys, via, key, value, steps):
     assert err.count("\n") == 1
     assert not out_dir.exists() or list(out_dir.iterdir()) == []
     return err
+
+
+@pytest.mark.parametrize("command", ["simulate", "run", "check"])
+def test_negative_seed_is_usage_error(tmp_path, capsys, command):
+    # numpy takes no negative seed: one error line naming the key, no traceback, no file
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {
+        "simulate": ["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "2",
+                     "--seed", "-1", "--out-embeddings", str(out_dir / "a.bin"),
+                     "--out-scores", str(out_dir / "a.jsonl")],
+        "run": ["run", "--config", run_config(tmp_path, selection={"seed": -1}),
+                "--out-dir", str(out_dir)],
+        "check": ["check", "--config", run_config(tmp_path, selection={"seed": -1}),
+                  "--out", str(out_dir / "events.jsonl")],
+    }[command]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and "seed" in err and "must be >= 0, got -1" in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("scores", ["x", "./x", "sub/../x"])
+def test_output_paths_naming_one_file_are_refused(tmp_path, capsys, monkeypatch, scores):
+    # the scores would overwrite the embeddings: refused before any temp file exists, and a
+    # file already there is left as it was
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "x").write_bytes(b"earlier")
+    assert main(["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "2",
+                 "--out-embeddings", "x", "--out-scores", scores]) == 2
+    assert capsys.readouterr().err == f"error: output paths x and {scores} name the same file\n"
+    assert (tmp_path / "x").read_bytes() == b"earlier"
+    assert list(tmp_path.rglob(".tmp-*")) == []
 
 
 def test_write_into_missing_directory_names_the_given_path(tmp_path, capsys):

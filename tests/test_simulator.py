@@ -40,6 +40,8 @@ def test_dataset_validation():
         make_dataset(10, 4, 1, 1.0, 0)  # c < 2
     with pytest.raises(DomainError):
         make_dataset(10, 1, 2, 1.0, 0)  # d < 2
+    with pytest.raises(DomainError, match="seed must be >= 0, got -1"):
+        make_dataset(10, 4, 2, 1.0, -1)  # numpy's seeds are non-negative
 
 
 @pytest.mark.parametrize("kwargs, name", [

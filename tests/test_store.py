@@ -524,6 +524,7 @@ def test_config_accepts_defaults():
         (dict(beta_aff=-0.1), "beta_aff"),
         (dict(lambda_c=1.0), "lambda_c"),
         (dict(n_s_check=0), "n_s_check"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_config_bounds_name_offending_key(overrides, key):
