@@ -1,12 +1,12 @@
 """Adaptive update checking, selective recomputation, and graph propagation.
 
-After each training interval a small probe of the last coreset is re-scored.
-If the discrepancy against the cached score history crosses the threshold, a
-budgeted, graph-independent set of stale/boundary samples is recomputed
-exactly; every other node blends its own score with the affinity-qualified
-recomputed neighbors through the closed-form minimizer of the local quadratic
-objective. Embeddings follow the same route behind a second threshold, after
-which the k-NN graph is locally repaired.
+After each training interval the scores it recorded for a small probe of the
+last coreset are compared against their cached history. If the discrepancy
+crosses the threshold, a budgeted, graph-independent set of long-unrecomputed
+boundary samples is recomputed exactly; every other node blends its own score
+with the affinity-qualified recomputed neighbors through the closed-form
+minimizer of the local quadratic objective. Embeddings follow the same route
+behind a second threshold, after which the k-NN graph is locally repaired.
 """
 
 from __future__ import annotations
@@ -237,14 +237,15 @@ def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: Embe
                      lsh: LshIndex | None = None) -> tuple[UpdatePlan, MutualKnnGraph | Callable]:
     """One full adaptive check; mutates emb/ledger in place on trigger.
 
-    Probes a sample of the last coreset, recomputes the probe's current
-    scores when the ledger lacks them, and triggers on discrepancy > delta.
-    A triggered check recomputes the recal set exactly, propagates scores,
-    and, only when the mean embedding shift also crosses delta_h, replaces
-    and propagates embeddings and locally repairs the graph. Any failure,
-    from a provider error or mis-shaped or non-finite provider output
-    (DataError) to an error inside the repair, leaves emb and ledger as they
-    were. ``lsh`` holds only hyperplanes, so no check changes it.
+    Probes a sample of the last coreset, whose scores at ``provider.step`` the
+    ledger must hold (``run`` records them), and triggers on discrepancy > delta.
+    A triggered check recomputes the recal set exactly (its one provider call),
+    propagates scores, and, only when the mean embedding shift also crosses
+    delta_h, replaces and propagates embeddings and locally repairs the graph.
+    It writes only after every read and computation; a failure before then
+    (say a provider error or bad provider output, DataError) has changed
+    nothing, and one in the writes or the repair puts back a snapshot of the
+    rows they touch. ``lsh`` holds only hyperplanes, so no check changes it.
 
     ``g`` is the graph, or a zero-argument builder of it: only a triggered
     check reads the graph, so the builder is called then, once, before
@@ -258,62 +259,46 @@ def check_and_update(g: MutualKnnGraph | Callable[[], MutualKnnGraph], emb: Embe
     n_probe = min(cfg.n_s_check, core.size)
     probe = np.sort(rng.choice(core, size=n_probe, replace=False))
 
-    stale = probe[ledger.steps[probe, -1] < current_step]
-    undo: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []  # (array, rows, saved rows)
+    window = _common_window(ledger, probe, cfg.t_c, current_step)
+    delta_i = discrepancy_check(ledger, probe, window, cfg.lambda_c, current_step)
+    plan = UpdatePlan(step=current_step, triggered=bool(delta_i > cfg.delta), delta_I=delta_i)
+    if not plan.triggered:
+        return plan, g
+    if not isinstance(g, MutualKnnGraph):
+        g = g()
 
-    def save(array, rows):
-        undo.append((array, rows, array[rows]))  # fancy indexing copies
+    recal = select_recal_set(g, ledger, current_step, cfg.k_recal)
+    plan.recal_set = recal
+    if not recal:
+        return plan, g
 
+    new_rows, new_scores = extract_checked(provider, list(recal), emb.d)
+    sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
+    scores = propagate_scores(ledger, new_scores, sets)
+    ids = np.concatenate((sets.anchors, sets.nodes))  # the order of scores and rows
+    plan.anchor_sets, plan.recal_scores = sets, new_scores
+    plan.propagated_scores, plan.old_scores = scores[len(recal):], ledger.current[sets.nodes]
+    plan.delta_H = embedding_shift(emb.rows[sets.anchors], new_rows)
+
+    rows = None
+    if plan.delta_H > cfg.delta_h:
+        rows = propagate_embeddings(emb, new_rows, sets)
+        plan.propagated_embeddings = tuple(sets.nodes.tolist())
+
+    # Apply: scores first (anchors advance t_history, propagated nodes do not).
+    snapshot = [(a, at, a[at]) for a, at in ((ledger.steps, ids), (ledger.scores, ids),
+                                             (ledger.t_history, sets.anchors), (emb.rows, ids))]
     try:
-        if stale.size:
-            _, probe_scores = extract_checked(provider, stale.tolist(), emb.d)
-            save(ledger.steps, stale)
-            save(ledger.scores, stale)
-            ledger.record(stale, current_step, probe_scores)
-
-        window = _common_window(ledger, probe, cfg.t_c, current_step)
-        delta_i = discrepancy_check(ledger, probe, window, cfg.lambda_c, current_step)
-        plan = UpdatePlan(step=current_step, triggered=bool(delta_i > cfg.delta), delta_I=delta_i)
-        if not plan.triggered:
-            return plan, g
-        if not isinstance(g, MutualKnnGraph):
-            g = g()
-
-        recal = select_recal_set(g, ledger, current_step, cfg.k_recal)
-        plan.recal_set = recal
-        if not recal:
-            return plan, g
-
-        new_rows, new_scores = extract_checked(provider, list(recal), emb.d)
-        sets = qualifying_anchor_sets(g, ledger, recal, cfg.beta_aff)
-        scores = propagate_scores(ledger, new_scores, sets)
-        ids = np.concatenate((sets.anchors, sets.nodes))  # the order of scores and rows
-        plan.anchor_sets, plan.recal_scores = sets, new_scores
-        plan.propagated_scores, plan.old_scores = scores[len(recal):], ledger.current[sets.nodes]
-        plan.delta_H = embedding_shift(emb.rows[sets.anchors], new_rows)
-
-        rows = None
-        if plan.delta_H > cfg.delta_h:
-            rows = propagate_embeddings(emb, new_rows, sets)
-            plan.propagated_embeddings = tuple(sets.nodes.tolist())
-
-        # Apply: scores first (anchors advance t_history, propagated nodes do not).
-        save(ledger.steps, ids)
-        save(ledger.scores, ids)
-        save(ledger.t_history, sets.anchors)
         ledger.record(ids, current_step, scores, replace=True)
         ledger.mark_accurate(sets.anchors, current_step)
-
         new_graph = g
         if rows is not None:
-            save(emb.rows, ids)
             emb.rows[ids] = rows
             new_graph = repair_graph(g, lsh, emb, ids)
             plan.graph_repaired = True
     except Exception:
-        # Atomicity: put back every row this check overwrote, newest first, and re-raise.
-        for array, rows, saved in reversed(undo):
-            array[rows] = saved
+        for a, at, saved in snapshot:  # atomicity: every row the apply wrote goes back
+            a[at] = saved
         raise
     return plan, new_graph
 

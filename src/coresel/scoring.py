@@ -17,6 +17,10 @@ from .errors import ConfigError, DomainError
 from .store import CLAMP_EPS, ScoreLedger, clamp_unit, min_max_normalize
 
 
+_OVERFLOW = ("the Beta warp overflows: config keys beta_const_c, q_exp and r_exp "
+             "must be smaller in magnitude")
+
+
 @dataclass(frozen=True)
 class WarpParams:
     alpha: float
@@ -38,7 +42,10 @@ def derive_warp_params(normalized_scores, eta: float, cfg) -> WarpParams:
         raise DomainError("normalized_scores must be nonempty")
     mean = float(scores.mean())
     c = cfg.beta_const_c
-    alpha = 1.0 + c * mean ** cfg.q_exp * eta ** cfg.r_exp
+    try:
+        alpha = 1.0 + c * mean ** cfg.q_exp * eta ** cfg.r_exp
+    except OverflowError:
+        raise ConfigError(_OVERFLOW) from None
     beta = c - alpha
     if beta <= 0.0 or alpha <= 0.0:
         raise ConfigError(
@@ -77,10 +84,12 @@ def warped_scores(normalized, params: WarpParams, normalize: bool = True) -> np.
     a, b, g = params.alpha, params.beta, params.gamma_temp
     if g == 0.0:
         return np.ones_like(x)
-    const = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
-    log_pdf = const + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x)
-    if normalize:
-        log_pdf = log_pdf - _log_beta_pdf(warp_mode(params), a, b)
+    try:
+        const = math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b)
+        peak = _log_beta_pdf(warp_mode(params), a, b) if normalize else 0.0
+    except OverflowError:
+        raise ConfigError(_OVERFLOW) from None
+    log_pdf = const + (a - 1.0) * np.log(x) + (b - 1.0) * np.log1p(-x) - peak
     with np.errstate(over="ignore", invalid="ignore"):
         warped = np.exp(g * log_pdf)
     if not np.isfinite(warped).all():

@@ -17,6 +17,7 @@ u32, then n*d little-endian float32 values in row-major order. Score stream
 from __future__ import annotations
 
 import json
+import math
 import numbers
 import struct
 from contextlib import contextmanager
@@ -281,15 +282,18 @@ _INT64_END = 1 << 63  # int64 holds [-_INT64_END, _INT64_END)
 def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
     """Replay a score-stream JSONL file into a fresh ledger of n samples.
 
-    The whole stream is parsed first; then one ``record`` call enters the
-    k-th entry of every sample, with the checks of a line-by-line replay.
-    FormatError names the first non-blank line that is not one JSON object
-    with an integer ``id`` and ``step`` and a numeric ``score`` (none of them
-    true or false, none truncated), or whose id or step lies outside int64.
+    The whole stream is parsed and checked first; then one ``record`` call
+    enters the k-th entry of every sample. FormatError names the first
+    non-blank line that is not one JSON object with an integer ``id`` and
+    ``step`` and a numeric ``score`` (none of them true or false, none
+    truncated), or whose id or step lies outside int64; then, with the
+    ledger's message, the first line at which a line-by-line replay would
+    stop: an id outside [0, n), a negative step, a score not finite and >= 0,
+    or a step not after the sample's previous line.
     """
     with opened(source, "r") as fh:
         lines = fh.readlines()
-    entries = []
+    keys, vals = [], []  # per entry: (id, step, line number) and score
     for lineno, line in enumerate(lines, start=1):
         if not line.strip():
             continue
@@ -305,12 +309,24 @@ def load_score_stream(source, n: int, window: int = 1) -> ScoreLedger:
         if not (-_INT64_END <= i < _INT64_END and -_INT64_END <= t < _INT64_END):
             raise FormatError(f"score stream line {lineno} has id {i} or step {t} "
                               f"outside the int64 range")
-        entries.append((i, t, v))
-    ids, steps = np.array([e[:2] for e in entries], dtype=np.int64).reshape(-1, 2).T
-    scores = np.array([e[2] for e in entries], dtype=np.float64)
+        keys.append((i, t, lineno))
+        vals.append(v)
+    ids, steps, linenos = np.array(keys, dtype=np.int64).reshape(-1, 3).T
+    scores = np.array(vals, dtype=np.float64)
     order = np.argsort(ids, kind="stable")
+    back = np.zeros(ids.size, dtype=bool)  # per line: step not after the sample's previous line
+    back[order[1:]] = (ids[order[1:]] == ids[order[:-1]]) & (steps[order[1:]] <= steps[order[:-1]])
+    bad = (ids < 0) | (ids >= n) | (steps < 0) | ~(np.isfinite(scores) & (scores >= 0.0)) | back
     rank = np.arange(ids.size) - np.searchsorted(ids[order], ids[order])  # k of order[j]
     ledger = ScoreLedger(n, window)
+    if bad.any():  # the first bad line's own record call, after its sample's previous line
+        j = int(np.argmax(bad))
+        prev = np.flatnonzero(ids[:j] == ids[j])[-1:]
+        try:
+            ledger.record(ids[prev], steps[prev], scores[prev])
+            ledger.record(ids[j], steps[j], scores[j])
+        except (DomainError, OrderingError) as exc:
+            raise FormatError(f"score stream line {linenos[j]}: {exc}") from None
     for k in range(int(rank.max(initial=-1)) + 1):
         entry = order[rank == k]
         ledger.record(ids[entry], steps[entry], scores[entry])
@@ -407,6 +423,10 @@ class SelectionConfig:
             bad("k", f"must be a positive integer, got {self.k}")
         if self.k_recal < 1:
             bad("k_recal", f"must be a positive integer, got {self.k_recal}")
+        for name in ("beta_const_c", "q_exp", "r_exp"):
+            value = getattr(self, name)
+            if not abs(value) < math.inf:  # not math.isfinite: it overflows on a huge int
+                bad(name, f"must be finite, got {value}")
         if not self.beta_const_c > 2.0:
             bad("beta_const_c", f"must be > 2, got {self.beta_const_c}")
         if not self.gamma_temp >= 0.0:

@@ -147,8 +147,29 @@ def test_select_rejects_negative_step(tmp_path, emb_file, capsys):
     path.write_text(json.dumps({"id": 0, "step": -1, "score": 1.0}) + "\n")
     code = main(["select", "--embeddings", emb_file, "--scores", str(path),
                  "--budget", "5", "--eta", "0.2"])
-    assert code == 2
-    assert "step" in capsys.readouterr().err
+    assert code == 3
+    assert "line 1: step" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("line", [
+    '{"id": 40, "step": 1, "score": 1.0}',
+    '{"id": 3, "step": 9, "score": -1.0}',
+    '{"id": 3, "step": 2, "score": 1.0}',  # step 5 is already recorded
+    '{"id": 3, "step": -1, "score": 1.0}',
+    '{"id": 3, "step": 9, "score": 1e999}',
+], ids=["id-out-of-range", "score-negative", "step-back", "step-negative", "score-infinite"])
+def test_select_stream_content_error_is_format_error_naming_the_line(tmp_path, capsys, line):
+    emb, scores, out = (str(tmp_path / name) for name in ("emb.bin", "scores.jsonl", "c.json"))
+    assert main(["simulate", "--n", "40", "--dim", "4", "--classes", "3", "--steps", "5",
+                 "--out-embeddings", emb, "--out-scores", scores]) == 0
+    with open(scores, "a") as fh:
+        fh.write(line + "\n")
+    capsys.readouterr()
+    assert main(["select", "--embeddings", emb, "--scores", scores, "--budget", "5",
+                 "--eta", "0.1", "--out", out]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: score stream line 41: ") and err.count("\n") == 1
+    assert not os.path.exists(out)
 
 
 @pytest.mark.parametrize("entry", [{"id": 10**20, "step": 1, "score": 1.0},
@@ -314,6 +335,27 @@ def test_negative_seed_is_usage_error(tmp_path, capsys, command):
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and "seed" in err and "must be >= 0, got -1" in err
+    assert list(out_dir.iterdir()) == []
+
+
+@pytest.mark.parametrize("command", ["run", "check"])
+@pytest.mark.parametrize("key,value,names", [
+    ("beta_const_c", 1e308, "beta_const_c, q_exp and r_exp"),  # lgamma overflows
+    ("r_exp", -1e308, "beta_const_c, q_exp and r_exp"),  # a power overflows
+    ("q_exp", -1e308, "beta_const_c, q_exp and r_exp"),
+    ("q_exp", math.nan, "'q_exp' must be finite"),
+    ("beta_const_c", math.inf, "'beta_const_c' must be finite"),
+    ("r_exp", math.inf, "'r_exp' must be finite"),
+], ids=["beta_const_c-huge", "r_exp-huge", "q_exp-huge", "q_exp-nan", "beta_const_c-inf",
+        "r_exp-inf"])
+def test_bad_warp_parameter_is_usage_error(tmp_path, capsys, command, key, value, names):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    argv = {"run": ["run", "--out-dir", str(out_dir)],
+            "check": ["check", "--out", str(out_dir / "events.jsonl")]}[command]
+    assert main([*argv, "--config", run_config(tmp_path, selection={key: value})]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and names in err
     assert list(out_dir.iterdir()) == []
 
 

@@ -527,6 +527,25 @@ def test_check_rejects_core_ids_outside_range():
         assert np.array_equal(saved, now)
 
 
+def test_check_without_probe_score_at_current_step_raises_before_any_call():
+    # The check compares the scores the interval recorded; it re-scores nothing.
+    cfg = _cfg(delta=0.0, delta_h=0.0, n_s_check=24)  # the probe is the whole core
+    sim = SimState.create(n=80, dim=6, classes=3, learning_rate=0.3, seed=7, drift=0.05)
+    gen, emb, ledger, graph = _prepare(sim, cfg)
+    members = list(range(0, 24))
+    _train_interval(sim, ledger, members, cfg.t_c - 1)
+    sim.train_step(members)
+    _, scores = sim.extract_features(members)
+    ledger.record(np.delete(members, 5), sim.step, np.delete(scores, 5))  # not sample 5
+    before = [a.copy() for a in (ledger.steps, ledger.scores, ledger.t_history, emb.rows)]
+    provider = _PatchedProvider(sim, lambda call, rows, scores: (rows, scores))
+    with pytest.raises(DomainError, match=f"sample 5 has no recorded score at step {sim.step}$"):
+        check_and_update(graph, emb, ledger, members, provider, cfg, gen)
+    assert provider.calls == 0
+    for saved, now in zip(before, (ledger.steps, ledger.scores, ledger.t_history, emb.rows)):
+        assert np.array_equal(saved, now)
+
+
 def test_check_triggered_scores_only_when_shift_small():
     cfg = _cfg(delta=0.0, delta_h=math.inf)
     sim = SimState.create(n=100, dim=6, classes=3, learning_rate=0.3, seed=3, drift=0.05)
@@ -607,11 +626,13 @@ class _PatchedProvider:
 
 
 def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_graph=False,
-                                      with_lsh=False, fault=None, builder=None):
+                                      with_lsh=False, fault=None, builder=None, fill=False):
     """Run a triggering check through a patched provider; it must raise and change nothing.
 
-    ``window`` sizes the ledger (default t_c + 1); ``reload_graph`` swaps the
-    graph for its dump's reload, which has no directed lists to repair from.
+    ``window`` sizes the ledger (default t_c + 1), and ``fill`` first trains
+    and records one step on every sample, so that with a window of 2 every
+    row is full; ``reload_graph`` swaps the graph for its dump's reload,
+    which has no directed lists to repair from.
     ``with_lsh`` gives the check an LSH index, so a failing repair runs on
     LSH candidates; ``fault()`` runs just before the check, to plant a failure.
     ``builder`` takes the graph's place, as the deferred build the check calls.
@@ -625,8 +646,9 @@ def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_g
         graph = load_graph(io.StringIO(buf.getvalue()))
     lsh = build_lsh_index(emb, seed=cfg.seed) if with_lsh else None
     members = list(range(0, 24))
-    _train_interval(sim, ledger, members, cfg.t_c - 1)
-    sim.train_step(members)  # one unrecorded step, so the probe must recompute
+    if fill:
+        _train_interval(sim, ledger, list(range(sim.n)), 1)
+    _train_interval(sim, ledger, members, cfg.t_c)
 
     current_before = ledger.current.copy()
     histories_before = [ledger.history(i) for i in range(ledger.n)]
@@ -646,37 +668,40 @@ def _assert_failed_check_leaves_state(patch, error, match, window=None, reload_g
     assert np.array_equal(emb.rows, rows_before)
 
 
-def _offline_after_probe(call, rows, scores):
-    if call > 1:
-        raise RuntimeError("provider offline")
-    return rows, scores
+def _offline_at_recal(call, rows, scores):  # the recal extract is a check's one provider call
+    raise RuntimeError("provider offline")
 
 
 def test_check_provider_failure_leaves_state():
-    _assert_failed_check_leaves_state(_offline_after_probe, RuntimeError, "offline")
+    _assert_failed_check_leaves_state(_offline_at_recal, RuntimeError, "offline")
 
 
-def test_check_provider_failure_restores_full_window():
-    # 1 + (t_c - 1) entries fill a window of t_c, so the probe record pushes
-    # each probe sample's oldest entry out; the rollback must bring it back.
-    _assert_failed_check_leaves_state(_offline_after_probe, RuntimeError, "offline",
-                                      window=_cfg().t_c)
+def _screened_rows_out_of_memory(screen, block, out):
+    raise MemoryError("injected in _screened_rows")
+
+
+def test_check_repair_failure_restores_full_window(monkeypatch):
+    # Every row holds two entries in a window of 2, so the score write pushes
+    # each written row's oldest entry out before the repair fails; the
+    # snapshot must bring it back.
+    _assert_failed_check_leaves_state(
+        lambda call, rows, scores: (rows, scores), MemoryError, "injected", window=2, fill=True,
+        fault=lambda: monkeypatch.setattr(knn_graph, "_screened_rows",
+                                          _screened_rows_out_of_memory))
 
 
 def test_check_repair_failure_restores_embeddings_ledger_and_lsh(monkeypatch):
     # The repair runs after the check has written scores, t_history and
     # embedding rows; a failure inside it must undo all of them. The LSH index
     # holds only hyperplanes, so there is nothing of it to undo.
-    def out_of_memory(screen, block, out):
-        raise MemoryError("injected in _screened_rows")
-
     _assert_failed_check_leaves_state(
         lambda call, rows, scores: (rows, scores), MemoryError, "injected", with_lsh=True,
-        fault=lambda: monkeypatch.setattr(knn_graph, "_screened_rows", out_of_memory))
+        fault=lambda: monkeypatch.setattr(knn_graph, "_screened_rows",
+                                          _screened_rows_out_of_memory))
 
 
 def test_check_failed_deferred_build_leaves_state():
-    # The build runs after the stale probe scores are recorded; its failure undoes them.
+    # The build runs before the check's first write, so its failure leaves nothing to undo.
     def out_of_memory():
         raise MemoryError("injected in the deferred build")
 
@@ -712,24 +737,24 @@ def test_check_calls_the_deferred_build_once_at_the_first_trigger():
 
 def test_check_unrepairable_graph_raises_before_any_change():
     # A reloaded dump has no directed lists, so the repair that a large
-    # embedding shift calls for is impossible; the check undoes every write made before it.
+    # embedding shift calls for is impossible; the check puts back every row written before it.
     _assert_failed_check_leaves_state(lambda call, rows, scores: (rows, scores),
                                       DomainError, "directed", reload_graph=True)
 
 
-def test_check_nan_probe_score_leaves_state():
-    def nan_fifth_probe_score(call, rows, scores):
+def test_check_nan_recal_score_leaves_state():
+    def nan_fifth_recal_score(call, rows, scores):
         if call == 1:
             scores = scores.copy()
             scores[4] = np.nan
         return rows, scores
 
-    _assert_failed_check_leaves_state(nan_fifth_probe_score, DataError, "scores")
+    _assert_failed_check_leaves_state(nan_fifth_recal_score, DataError, "scores")
 
 
 def test_check_nan_recal_row_leaves_state():
     def nan_first_recal_row(call, rows, scores):
-        if call == 2:
+        if call == 1:
             rows = rows.copy()
             rows[0] = np.nan
         return rows, scores

@@ -91,6 +91,19 @@ def test_derive_overflow_is_config_error():
         derive_warp_params(np.ones(5), eta=1.0, cfg=_cfg(q_exp=1.0, r_exp=1.0))
 
 
+@pytest.mark.parametrize("overrides", [dict(q_exp=-1e308), dict(r_exp=-1e308)])
+def test_derive_power_overflow_is_config_error(overrides):
+    with pytest.raises(ConfigError, match="beta_const_c, q_exp and r_exp"):
+        derive_warp_params(np.full(5, 0.5), eta=0.1, cfg=_cfg(**overrides))
+
+
+@pytest.mark.parametrize("normalize", [True, False])
+def test_warp_lgamma_overflow_is_config_error(normalize):
+    params = derive_warp_params(np.full(5, 0.5), eta=0.1, cfg=_cfg(beta_const_c=1e308))
+    with pytest.raises(ConfigError, match="beta_const_c, q_exp and r_exp"):
+        warped_scores([0.1, 0.4, 0.9], params, normalize=normalize)
+
+
 def test_derive_hand_value():
     params = derive_warp_params(np.full(4, 0.5), eta=0.1, cfg=_cfg(q_exp=1.0, r_exp=0.5))
     assert params.alpha == pytest.approx(2.5811388300841898, abs=1e-12)

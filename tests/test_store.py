@@ -457,6 +457,29 @@ def test_score_stream_accepts_extra_keys_and_blank_lines():
     assert score_lines_reference(text) == [(0, 1, 0.0), (1, 2, 3.0)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(n=st.integers(1, 4), window=st.integers(1, 3),
+       entries=st.lists(st.tuples(st.integers(-1, 4), st.integers(-1, 6),
+                                  st.sampled_from([0.0, 0.5, 2.0, -1.0, math.inf, math.nan])),
+                        max_size=12))
+def test_score_stream_content_errors_equal_line_by_line_replay(n, window, entries):
+    # the ledger a record call per line builds, or a FormatError naming the line
+    # at which that replay stops, with the ledger's message
+    text = "".join(json.dumps({"id": i, "step": t, "score": v}) + "\n" for i, t, v in entries)
+    ref = ScoreLedger(n, window=window)
+    for lineno, (i, t, v) in enumerate(entries, start=1):
+        try:
+            ref.record(i, t, v)
+        except (DomainError, OrderingError) as exc:
+            with pytest.raises(FormatError) as got:
+                load_score_stream(io.StringIO(text), n, window=window)
+            assert str(got.value) == f"score stream line {lineno}: {exc}"
+            return
+    loaded = load_score_stream(io.StringIO(text), n, window=window)
+    assert np.array_equal(loaded.steps, ref.steps)
+    assert np.array_equal(loaded.scores, ref.scores)
+
+
 @pytest.mark.parametrize("line", [
     '{"id": 99999999999999999999, "step": 1, "score": 1.0}',
     '{"id": -9223372036854775809, "step": 1, "score": 1.0}',
@@ -525,6 +548,10 @@ def test_config_accepts_defaults():
         (dict(lambda_c=1.0), "lambda_c"),
         (dict(n_s_check=0), "n_s_check"),
         (dict(seed=-1), "seed"),
+        (dict(beta_const_c=math.inf), "beta_const_c"),
+        (dict(q_exp=math.nan), "q_exp"),
+        (dict(q_exp=-math.inf), "q_exp"),
+        (dict(r_exp=math.inf), "r_exp"),
     ],
 )
 def test_config_bounds_name_offending_key(overrides, key):
