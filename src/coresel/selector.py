@@ -76,12 +76,10 @@ class CoresetSelection:
 
 
 def _unit_rows(emb: EmbeddingTable, ids: np.ndarray) -> np.ndarray:
+    # a zero row stays zero: cosine 0 with every row, so it covers nothing and nothing covers it
     rows = emb.rows[ids]
-    norms = np.linalg.norm(rows, axis=1)
-    zero = np.nonzero(norms == 0.0)[0]
-    if zero.size:
-        raise DomainError(f"sample {int(ids[zero[0]])} has a zero-norm embedding")
-    return rows / norms[:, None]
+    norms = np.linalg.norm(rows, axis=1)[:, None]
+    return np.divide(rows, norms, out=np.zeros_like(rows), where=norms > 0)
 
 
 class CosineRows:

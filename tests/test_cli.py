@@ -416,6 +416,31 @@ def test_run_simulator_block_defaults_come_from_simstate_create(tmp_path):
     assert outs[0] == outs[1]
 
 
+@pytest.mark.parametrize("case", ["warm-up 0", "learning rate 0", "simulate --steps 0"])
+def test_untrained_or_frozen_embeddings_are_selected_from(tmp_path, case):
+    # an untrained or frozen simulator embeds every sample as zeros; the selector
+    # takes a zero row as covering nothing instead of refusing it
+    out = tmp_path / "out"
+    if case == "simulate --steps 0":
+        assert _simulate(out, steps="0") == 0
+        argv = ["select", "--embeddings", str(out / "emb.bin"), "--scores",
+                str(out / "scores.jsonl"), "--budget", "8", "--eta", "0.1",
+                "--out", str(out / "coreset.json")]
+        files = ["coreset.json", "emb.bin", "scores.jsonl"]
+    else:
+        frozen = case == "learning rate 0"
+        cfg = run_config(tmp_path, run={"warmup_steps": 5 if frozen else 0},
+                         simulator={"n": 200, **({"learning_rate": 0.0} if frozen else {})})
+        argv = ["run", "--config", cfg, "--out-dir", str(out)]
+        files = ["events.jsonl", "report.json", "selections.jsonl"]
+    assert main(argv) == 0
+    assert sorted(p.name for p in out.iterdir()) == files
+    if case == "simulate --steps 0":
+        assert len(json.loads((out / "coreset.json").read_text())["members"]) == 8
+    else:
+        assert len((out / "selections.jsonl").read_text().splitlines()) == 4
+
+
 def test_run_rejects_bad_lambda(tmp_path, capsys):
     cfg = run_config(tmp_path, selection={"lambda_blend": 1.5})
     code = main(["run", "--config", cfg, "--out-dir", str(tmp_path / "out")])

@@ -5,6 +5,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -56,12 +57,18 @@ def test_representation_matches_reference_loop(rng):
     assert got == pytest.approx(representation_reference(core, pool, emb), abs=1e-9)
 
 
-def test_representation_zero_norm_names_sample(rng):
-    rows = rng.normal(size=(5, 3))
-    rows[3] = 0.0
-    emb = EmbeddingTable(rows)
-    with pytest.raises(DomainError, match="sample 3"):
-        representation_score([0], range(5), emb)
+def test_zero_row_has_cosine_zero_with_every_row(rng):
+    # an untrained or frozen model embeds a sample as zeros: it covers nothing,
+    # itself included, and nothing covers it (positive rows: no cosine below 0)
+    emb = positive_table(rng, 5, 3)
+    emb.rows[3] = 0.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert not _unit_rows(emb, np.arange(5))[3].any()
+        assert representation_score([3], range(5), emb) == 0.0
+        assert representation_score(range(5), [3], emb) == 0.0
+        assert representation_score([0, 3], range(5), emb) == representation_score(
+            [0], [0, 1, 2, 4], emb)
 
 
 # ---------------------------------------------------------------------------
@@ -368,6 +375,30 @@ def test_tiled_selection_equals_dense_selection(monkeypatch, n, d, budget, lam):
     assert tiled.members == dense.members
     assert _bits(tiled.objective_value) == _bits(dense.objective_value)
     assert np.array_equal(_bits(tiled.gains), _bits(dense.gains))
+
+
+@pytest.mark.parametrize("form", ["dense", "tiled"])
+@pytest.mark.parametrize("lam", [0.5, 1.0])
+def test_selection_over_zero_rows_equals_full_pass_with_zeroed_cosines(monkeypatch, form, lam):
+    # zero rows get cosine 0 with every row, their own included: the greedy must
+    # run as the full pass does on the dense matrix with their rows and columns zeroed
+    n, d = 40, 4
+    gen = np.random.default_rng(31)
+    x = gen.normal(size=(n, d))
+    zero = [0, 7, 8, 33]
+    cos = CosineRows(x / np.linalg.norm(x, axis=1, keepdims=True))[np.arange(n)]
+    cos[zero] = 0.0
+    cos[:, zero] = 0.0
+    x[zero] = 0.0
+    warped = gen.uniform(size=n)
+    warped[zero[1:]] = 0.0
+    monkeypatch.setattr(selector, "_DENSE_MAX_ELEMS", n * n if form == "dense" else 0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        sel = select_coreset(range(n), n, EmbeddingTable(x), warped, lam)
+    ref_members, ref_gains = greedy_reference(cos, warped, lam, n)
+    assert sel.members == ref_members
+    assert sel.gains == ref_gains
 
 
 def test_large_pool_selection_forms_no_dense_matrix():
